@@ -21,6 +21,7 @@ from repro.compiled.compiler import (
     program_cache_dir,
     program_cache_file,
     program_cache_info,
+    reroute_failed_disk,
     set_program_cache_dir,
 )
 from repro.compiled.executor import execute_compiled, execute_plan_compiled
@@ -55,5 +56,6 @@ __all__ = [
     "program_cache_dir",
     "program_cache_file",
     "program_cache_info",
+    "reroute_failed_disk",
     "set_program_cache_dir",
 ]

@@ -68,6 +68,7 @@ __all__ = [
     "UnsupportedPlanError",
     "compile_plan",
     "lower_program",
+    "reroute_failed_disk",
     "clear_program_cache",
     "program_cache_info",
     "PROGRAM_CACHE_VERSION",
@@ -579,3 +580,63 @@ def _lower_phase(
         check_src=check_src,
         read_credit=np.bincount(ph.read_disk, minlength=n_disks).astype(np.int64),
     )
+
+
+def reroute_failed_disk(fz: FusedPhase, disk: int, m: int, bpd: int) -> FusedPhase | None:
+    """``fz`` with every operand on failed RAID-5 data disk ``disk``
+    rebuilt from its row mates, or None when that is not possible.
+
+    Sound only while the RAID-5 row invariant holds (zero-movement
+    plans, see :func:`repro.faults.degraded.plan_is_zero_movement`):
+    block ``b`` of ``disk`` is then the XOR of block ``b`` of the other
+    ``m-1`` source disks.  So a term whose addresses all lie on ``disk``
+    becomes ``m-1`` terms at the same offsets on those disks — addresses
+    shift by ``(c - disk) * bpd``, kind and stride step unchanged — and
+    the phase's read credit on ``disk`` moves onto each row mate, which
+    is what reconstruct-on-read counts.  A term with addresses both on
+    and off ``disk`` cannot be split this way: the result is None and
+    the caller keeps the per-block path.
+    """
+    lo, hi = disk * bpd, (disk + 1) * bpd
+    shifts = [(c - disk) * bpd for c in range(m) if c != disk]
+
+    def on_disk(addrs: np.ndarray) -> bool | None:
+        hit = (addrs >= lo) & (addrs < hi)
+        return True if hit.all() else None if hit.any() else False
+
+    ops = []
+    for op in fz.ops:
+        terms: list[RegionTerm] = []
+        for t in op.terms:
+            if t.kind == "ref":
+                terms.append(t)
+                continue
+            if t.kind == "gather":
+                addrs = t.indices
+            elif t.kind == "const":
+                addrs = np.array([t.start])
+            else:
+                addrs = t.start + t.step * np.arange(fz.batch)
+            where = on_disk(addrs)
+            if where is None:
+                return None
+            if not where:
+                terms.append(t)
+            elif t.kind == "gather":
+                terms.extend(dataclasses.replace(t, indices=t.indices + s) for s in shifts)
+            else:
+                terms.extend(dataclasses.replace(t, start=t.start + s) for s in shifts)
+        sparse: list[SparseTerm] = []
+        for sp in op.sparse:
+            where = on_disk(sp.indices)
+            if where is None:
+                return None
+            if not where:
+                sparse.append(sp)
+            else:
+                sparse.extend(SparseTerm(rows=sp.rows, indices=sp.indices + s) for s in shifts)
+        ops.append(dataclasses.replace(op, terms=tuple(terms), sparse=tuple(sparse)))
+    credit = fz.read_credit.copy()
+    credit[[c for c in range(m) if c != disk]] += credit[disk]
+    credit[disk] = 0
+    return dataclasses.replace(fz, ops=tuple(ops), read_credit=credit)

@@ -18,6 +18,13 @@ array's counted bulk-I/O API.  Parity work runs on one of two paths:
   the counted entry points the fused path bypasses), or when the caller
   forces it (``use_fused=False``, e.g. for benchmarking the baseline).
 
+The checkpointed runner (:mod:`repro.faults.checkpoint`) also runs
+*degraded* phases fused — one failed RAID-5 data disk, no fault plane —
+after rerouting the failed disk's operands to their row mates
+(:func:`~repro.compiled.compiler.reroute_failed_disk`) and passing an
+audit mask that skips that disk's check cells.  This executor never
+does: it cannot assume the row invariant the reroute relies on.
+
 Both paths are byte-identical to the audited engine with identical
 per-disk counters (tested for every supported conversion); only the
 Python and memory-traffic overhead differs.
@@ -69,7 +76,11 @@ def _fused_usable(array: BlockArray) -> bool:
     """Fused execution bypasses the counted read path, so it is only
     sound when nothing observes that path: no fault plane (crash/tear
     hooks fire on bulk reads) and no failed disks (counted reads raise
-    :class:`DiskFailure`; views would silently serve stale bytes)."""
+    :class:`DiskFailure`; views would silently serve stale bytes).
+
+    This is the executor's own gate.  The checkpointed runner also fuses
+    phases with one failed data disk of a zero-movement plan, after
+    rerouting that disk's operands to their RAID-5 row mates."""
     return array.fault_plane is None and not array.failed_disks
 
 
@@ -83,7 +94,11 @@ def _run_phase_fused(
     fz: FusedPhase,
     array: BlockArray,
     kernel: XorKernel,
+    audit: np.ndarray | slice = slice(None),
 ) -> None:
+    """Run ``fz``; ``audit`` selects the reused-parity check cells to
+    compare (a degraded caller skips the cells on its failed disk, whose
+    bytes are not the true ones)."""
     bs = array.block_size
     batch = fz.batch
     store = array.bulk_view(slice(None), slice(None)).reshape(-1, bs)
@@ -124,8 +139,8 @@ def _run_phase_fused(
     if ph.parity_disk.size:
         array.write_blocks(ph.parity_disk, ph.parity_block, out[fz.parity_src])
     if ph.check_disk.size:
-        actual = array.gather_raw(ph.check_disk, ph.check_block)
-        expect = out[fz.check_src]
+        actual = array.gather_raw(ph.check_disk[audit], ph.check_block[audit])
+        expect = out[fz.check_src[audit]]
         if not np.array_equal(expect, actual):
             bad = np.flatnonzero((expect != actual).any(axis=1))
             raise AssertionError(

@@ -19,10 +19,23 @@ rollback first restores the exact pre-unit state — so a conversion
 resumed after a crash at any boundary converges to the byte-identical
 final array (the crash-sweep tests enumerate every boundary).
 
-Degraded mode rides the same path: every unit runs through a
-:class:`~repro.faults.degraded.ReconstructingReader`, which turns disk
-failures and read faults into RAID-5 row reconstructions for
-zero-movement plans (direct Code 5-6) and refuses anything else.
+Degraded mode rides the same path.  Degraded conversion needs a
+zero-movement plan (direct Code 5-6); anything else is refused.  A
+compiled phase then takes one of two routes:
+
+* **fused** — no fault plane attached and exactly one failed RAID-5
+  data disk: the executor's fused kernel path, with every operand on
+  the failed disk rebuilt from its row mates
+  (:func:`~repro.compiled.compiler.reroute_failed_disk`) and the same
+  per-disk read counts the per-block route produces;
+* **per-block** — an attached fault plane (crash sweeps, chaos runs,
+  fleet volumes), two failed disks, or an operand the reroute cannot
+  split: reads go through a
+  :class:`~repro.faults.degraded.ReconstructingReader`, which turns
+  disk failures and read faults into RAID-5 row reconstructions.
+
+Audited units always take the per-block route.  Each compiled phase
+emits a ``compiled.phase`` span whose ``path`` names the route taken.
 """
 
 from __future__ import annotations
@@ -140,59 +153,99 @@ def _gather_peek(array: BlockArray, reader: ReconstructingReader, disks, blocks)
     return out
 
 
+def _fused_route(ph, array: BlockArray, reader: ReconstructingReader):
+    """The fused phase to run for ``ph``, or None for the per-block path.
+
+    Fused execution views the store instead of reading through the
+    counted path, so it runs only when nothing observes that path (no
+    fault plane) and every byte it views is a true one: a healthy array,
+    or exactly one failed RAID-5 data disk whose operands
+    :func:`~repro.compiled.compiler.reroute_failed_disk` rebuilds from
+    their row mates.  Everything else keeps the per-block path.
+    """
+    from repro.compiled.compiler import reroute_failed_disk
+
+    fz = ph.fused
+    if fz is None or array.fault_plane is not None:
+        return None
+    failed = array.failed_disks
+    if not failed:
+        return fz
+    if len(failed) != 1 or not reader.allow:
+        return None
+    (disk,) = failed
+    if disk >= reader.m:
+        return None
+    return reroute_failed_disk(fz, disk, reader.m, array.blocks_per_disk)
+
+
+def _auditable(ph, array: BlockArray) -> np.ndarray | slice:
+    """The reused-parity check cells whose bytes can be trusted — a
+    failed disk's cells are skipped, not compared."""
+    if not array.failed_disks:
+        return slice(None)
+    return ~np.isin(ph.check_disk, sorted(array.failed_disks))
+
+
 def _run_phase_checkpointed(program, ph, array: BlockArray, reader) -> None:
     """The compiled executor's phase, with degraded/fault fallbacks.
 
     Mirrors :func:`repro.compiled.executor._run_phase` bulk for bulk (so
     healthy runs land on identical bytes and counters) but lives here —
     outside the hot-path modules — because its recovery fallbacks are
-    per-block by nature.  When the phase is lowered and nothing observes
-    the counted read path (no fault plane, no failed disks — e.g. a
-    resume after the crashing plane is detached), the parity work
-    delegates to the executor's fused kernel path; any attached plane or
-    failure keeps the shadow stripe-tensor path below, whose fallbacks
-    the recovery machinery needs.
+    per-block by nature.  Parity work goes to the executor's fused
+    kernel path when :func:`_fused_route` allows it, else to the shadow
+    stripe-tensor path below, whose per-block fallbacks the recovery
+    machinery needs.  Both paths emit the executor's ``compiled.phase``
+    span, so a trace shows the route.
     """
     from repro.compiled import executor as _executor
+    from repro.obs.tracer import get_tracer
 
-    code = program.code
-    if ph.migrate_src_disk.size:
-        payload = _bulk_read_recovering(array, reader, ph.migrate_src_disk, ph.migrate_src_block)
-        array.write_blocks(ph.migrate_dst_disk, ph.migrate_dst_block, payload)
-    if ph.null_disk.size:
-        array.write_zero_blocks(ph.null_disk, ph.null_block)
-    if ph.trim_disk.size:
-        array.trim_blocks(ph.trim_disk, ph.trim_block)
-    if ph.batch == 0:
-        return
-    if ph.fused is not None and _executor._fused_usable(array):
-        _executor._run_phase_fused(
-            program, ph, ph.fused, array, _executor.resolve_kernel()
-        )
-        return
-    stripes = np.zeros((ph.batch, code.rows, code.cols, array.block_size), dtype=np.uint8)
-    flat = stripes.reshape(-1, array.block_size)
-    if ph.read_disk.size:
-        flat[ph.read_cell] = _bulk_read_recovering(array, reader, ph.read_disk, ph.read_block)
-    if ph.fill_disk.size:
-        flat[ph.fill_cell] = _gather_peek(array, reader, ph.fill_disk, ph.fill_block)
-    code.encode(stripes)
-    if ph.parity_disk.size:
-        array.write_blocks(ph.parity_disk, ph.parity_block, flat[ph.parity_cell])
-    if ph.check_disk.size:
-        auditable = (
-            ~np.isin(ph.check_disk, sorted(array.failed_disks))
-            if array.failed_disks
-            else np.ones(ph.check_disk.size, dtype=bool)
-        )
-        actual = array.gather_raw(ph.check_disk[auditable], ph.check_block[auditable])
-        if not np.array_equal(flat[ph.check_cell[auditable]], actual):
-            bad = np.flatnonzero((flat[ph.check_cell[auditable]] != actual).any(axis=1))
-            raise AssertionError(
-                f"pre-existing parity at {bad.size} location(s) of phase "
-                f"{ph.phase} does not match the recomputed value — old "
-                "parity was not valid"
+    fused = _fused_route(ph, array, reader)
+    kernel = _executor.resolve_kernel() if fused is not None else None
+    with get_tracer().span(
+        f"phase{ph.phase}", cat="compiled.phase", phase=ph.phase, batch=ph.batch,
+        migrates=int(ph.migrate_src_disk.size), nulls=int(ph.null_disk.size),
+        parities=int(ph.parity_disk.size),
+        path="fused" if fused is not None else "stripe",
+        kernel=kernel.name if kernel is not None else "",
+        degraded=bool(array.failed_disks),
+    ):
+        code = program.code
+        if ph.migrate_src_disk.size:
+            payload = _bulk_read_recovering(
+                array, reader, ph.migrate_src_disk, ph.migrate_src_block
             )
+            array.write_blocks(ph.migrate_dst_disk, ph.migrate_dst_block, payload)
+        if ph.null_disk.size:
+            array.write_zero_blocks(ph.null_disk, ph.null_block)
+        if ph.trim_disk.size:
+            array.trim_blocks(ph.trim_disk, ph.trim_block)
+        if ph.batch == 0:
+            return
+        audit = _auditable(ph, array)
+        if fused is not None:
+            _executor._run_phase_fused(program, ph, fused, array, kernel, audit=audit)
+            return
+        stripes = np.zeros((ph.batch, code.rows, code.cols, array.block_size), dtype=np.uint8)
+        flat = stripes.reshape(-1, array.block_size)
+        if ph.read_disk.size:
+            flat[ph.read_cell] = _bulk_read_recovering(array, reader, ph.read_disk, ph.read_block)
+        if ph.fill_disk.size:
+            flat[ph.fill_cell] = _gather_peek(array, reader, ph.fill_disk, ph.fill_block)
+        code.encode(stripes)
+        if ph.parity_disk.size:
+            array.write_blocks(ph.parity_disk, ph.parity_block, flat[ph.parity_cell])
+        if ph.check_disk.size:
+            actual = array.gather_raw(ph.check_disk[audit], ph.check_block[audit])
+            if not np.array_equal(flat[ph.check_cell[audit]], actual):
+                bad = np.flatnonzero((flat[ph.check_cell[audit]] != actual).any(axis=1))
+                raise AssertionError(
+                    f"pre-existing parity at {bad.size} location(s) of phase "
+                    f"{ph.phase} does not match the recomputed value — old "
+                    "parity was not valid"
+                )
 
 
 # ------------------------------------------------------------------ executor

@@ -10,7 +10,13 @@ of its RAID-5 row, at any point during the conversion.
 :class:`ReconstructingReader` packages that recovery as an I/O adapter
 the engines consume — ``read`` (counted, with reconstruction fallback),
 ``peek`` (uncounted, for controller-memory fills and parity audits) and
-``check_ok`` (whether a reused-parity audit of a disk is possible).  For
+``check_ok`` (whether a reused-parity audit of a disk is possible).  The
+checkpointed compiled runner skips the adapter in the common case — one
+failed data disk, no fault plane — by rerouting the fused phase's
+failed-disk operands to the same row mates
+(:func:`repro.compiled.compiler.reroute_failed_disk`).  The adapter
+still serves the audited engine, every fault-plane run, the online
+converter and any array with more than one failed disk.  For
 plans that *do* move data (via-RAID-0/4 and the multi-phase codes) the
 row invariant breaks mid-flight, so the adapter is built with
 ``allow_reconstruction=False`` and simply re-raises — degraded
