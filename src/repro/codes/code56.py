@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from repro.codes.geometry import Cell, ChainKind, CodeLayout, ParityChain
 from repro.util.primes import is_prime
 
@@ -34,6 +36,7 @@ __all__ = [
     "horizontal_parity_cell",
     "diagonal_of_cell",
     "diagonal_chain_cells",
+    "diagonal_chain_tables",
     "DIAGONAL_COLUMN",
 ]
 
@@ -67,6 +70,19 @@ def diagonal_chain_cells(p: int, parity_row: int) -> tuple[Cell, ...]:
         for c in range(p - 1)
         if (r + c) % p == d
     )
+
+
+@lru_cache(maxsize=None)
+def diagonal_chain_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`diagonal_chain_cells` of every parity row as read-only arrays:
+    ``rows[prow, j]``/``cols[prow, j]`` is chain cell ``j``, and
+    ``per_col[prow, col]`` counts the chain's cells on column ``col``
+    (the per-disk reads one diagonal parity of row ``prow`` costs)."""
+    cells = np.array([diagonal_chain_cells(p, prow) for prow in range(p - 1)], dtype=np.intp)
+    per_col = (cells[..., 1, None] == np.arange(p)).sum(axis=1, dtype=np.int64)
+    for table in (cells, per_col):
+        table.flags.writeable = False
+    return cells[..., 0], cells[..., 1], per_col
 
 
 def code56_layout(p: int, virtual_cols: tuple[int, ...] = ()) -> CodeLayout:

@@ -9,25 +9,32 @@ volume's tick-domain schedule.  Two mechanisms arbitrate:
   foreground path is never throttled.
 * :class:`CircuitBreaker` — a sliding window over foreground latencies
   (stall + service, the number :func:`repro.obs.record.
-  record_online_report` histograms).  When the windowed p50/p95/p99
-  breaches the tenant's :class:`QosTarget` the breaker trips: conversion
-  pauses, backing off on the shared :class:`repro.util.retry.Backoff`
+  record_online_report` histograms).  When a windowed quantile that the
+  tenant's :class:`QosTarget` constrains breaches it, the breaker trips:
+  conversion pauses, backing off on the shared :class:`repro.util.retry.Backoff`
   curve (bounded exponential), and resumes from the journal watermark.
   Consecutive breaches escalate the backoff; a clean re-probe resets it.
 
 Both are pure tick-domain objects — deterministic, clockless, owned by
 one volume's cooperative schedule (no cross-thread state).
+
+The breaker computes only the constrained quantiles, from one sorted copy
+of its window, with :func:`percentile_sorted` (``np.percentile`` bit for
+bit, without a numpy round trip per sample).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.util.retry import Backoff, BackoffPolicy
 
-__all__ = ["QosTarget", "TokenBucket", "CircuitBreaker", "DEFAULT_BREAKER_POLICY"]
+__all__ = ["QosTarget", "TokenBucket", "CircuitBreaker", "DEFAULT_BREAKER_POLICY",
+           "percentile_sorted"]
 
 
 #: breaker pause curve: 32..256-tick pauses, at most ~1.5k ticks of
@@ -36,6 +43,29 @@ __all__ = ["QosTarget", "TokenBucket", "CircuitBreaker", "DEFAULT_BREAKER_POLICY
 DEFAULT_BREAKER_POLICY = BackoffPolicy(
     base_ticks=32.0, multiplier=2.0, max_attempts=6, cap_ticks=256.0
 )
+
+
+def percentile_sorted(values: list[float], q: float) -> float:
+    """``np.percentile(values, q)`` of an ascending, non-empty list.
+
+    numpy's ``"linear"`` rule step for step, so the float is identical:
+    virtual index ``(n-1) * (q/100)`` and its floor (both neighbours
+    clamp to the last element once it is reached), then ``_lerp`` with
+    its ``b - (b-a)*(1-t)`` branch for ``t >= 0.5``.
+    """
+    last = len(values) - 1
+    virtual = last * (q / 100)
+    if virtual >= last:
+        lo = hi = last
+        t = virtual + 1  # numpy weighs the clamped pair from index -1
+    else:
+        lo = math.floor(virtual)
+        hi, t = lo + 1, virtual - lo
+    a, b = values[lo], values[hi]
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
 
 
 @dataclass(frozen=True)
@@ -53,14 +83,15 @@ class QosTarget:
     p95_ticks: float | None = None
     p99_ticks: float | None = 60.0
 
-    def breached_by(self, p50: float, p95: float, p99: float) -> str | None:
-        """Name of the first breached quantile, or None."""
-        for name, value, limit in (
-            ("p50", p50, self.p50_ticks),
-            ("p95", p95, self.p95_ticks),
-            ("p99", p99, self.p99_ticks),
+    def breached_by(self, quantile: Callable[[float], float]) -> str | None:
+        """Name of the first breached quantile, or None; ``quantile(q)``
+        (the window's q-th percentile) is asked only for constrained ones."""
+        for name, q, limit in (
+            ("p50", 50, self.p50_ticks),
+            ("p95", 95, self.p95_ticks),
+            ("p99", 99, self.p99_ticks),
         ):
-            if limit is not None and value > limit:
+            if limit is not None and quantile(q) > limit:
                 return name
         return None
 
@@ -158,7 +189,7 @@ class CircuitBreaker:
     def percentile(self, q: float) -> float:
         if not self._lat:
             return 0.0
-        return float(np.percentile(np.asarray(self._lat), q))
+        return percentile_sorted(sorted(self._lat), q)
 
     # ------------------------------------------------------------- updates
     def observe(self, latency: float, tick: float) -> bool:
@@ -177,9 +208,8 @@ class CircuitBreaker:
             del self._lat[: len(self._lat) - self.window]
         if len(self._lat) < self.min_samples:
             return False
-        breach = self.target.breached_by(
-            self.percentile(50), self.percentile(95), self.percentile(99)
-        )
+        window = sorted(self._lat)
+        breach = self.target.breached_by(lambda q: percentile_sorted(window, q))
         if breach is None:
             if self._open_until is not None and tick >= self._open_until:
                 # clean sample after the pause: close fully, reset curve
@@ -203,14 +233,18 @@ class CircuitBreaker:
 
     # ------------------------------------------------------------ reporting
     def snapshot(self) -> dict:
-        closed = np.asarray(self.closed_latencies) if self.closed_latencies else None
+        p50, p95, p99 = (
+            np.percentile(self.closed_latencies, [50, 95, 99]).tolist()
+            if self.closed_latencies
+            else (0.0, 0.0, 0.0)
+        )
         return {
             "trips": self.trips,
             "open_ticks": self.open_ticks,
             "breaches": list(self.breaches),
             "closed_samples": len(self.closed_latencies),
             "open_samples": len(self.open_latencies),
-            "closed_p50": float(np.percentile(closed, 50)) if closed is not None else 0.0,
-            "closed_p95": float(np.percentile(closed, 95)) if closed is not None else 0.0,
-            "closed_p99": float(np.percentile(closed, 99)) if closed is not None else 0.0,
+            "closed_p50": p50,
+            "closed_p95": p95,
+            "closed_p99": p99,
         }

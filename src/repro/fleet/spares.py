@@ -11,7 +11,8 @@ reconstruct-on-read.
 
 :class:`ScrubCursor` is the idle-slack parity verifier: one stripe per
 step — the horizontal row XOR plus, when the diagonal parity of that
-stripe's row is journal-marked, its Code 5-6 chain XOR.  The fleet
+stripe's row is journal-marked, its Code 5-6 chain XOR, each one XOR
+reduction over views of the block store.  The fleet
 scheduler feeds it whatever ticks are left between request arrivals once
 conversion has drained, so silent corruption surfaces while the volume
 is still under management instead of at the next full audit.
@@ -23,7 +24,7 @@ import threading
 
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_cells
+from repro.codes.code56 import diagonal_chain_tables
 
 __all__ = ["SparePool", "ScrubCursor"]
 
@@ -107,10 +108,8 @@ class ScrubCursor:
         # skipped while a row member is failed (its raw bytes are stale
         # by design; the row is checked again once rebuilt)
         if not any(d < m for d in failed):
-            acc = np.zeros(array.block_size, dtype=np.uint8)
-            for d in range(m):
-                np.bitwise_xor(acc, array.raw(d, stripe), out=acc)
-            if acc.any():
+            members = array.bulk_view(slice(0, m), slice(stripe, stripe + 1))
+            if np.bitwise_xor.reduce(members, axis=0).any():
                 self.errors_found += 1
                 self.errors.append((stripe, "horizontal"))
         # diagonal parity of this stripe's row, once journal-marked
@@ -122,9 +121,10 @@ class ScrubCursor:
             and m not in failed
             and not any(d < m for d in failed)
         ):
-            acc = np.zeros(array.block_size, dtype=np.uint8)
-            for r, c in diagonal_chain_cells(conv.p, row):
-                np.bitwise_xor(acc, array.raw(c, group * conv.rows + r), out=acc)
+            r_tab, c_tab, _per_col = diagonal_chain_tables(conv.p)
+            first = group * conv.rows
+            square = array.bulk_view(slice(0, m), slice(first, first + conv.rows))
+            acc = np.bitwise_xor.reduce(square[c_tab[row], r_tab[row]], axis=0)
             cost += 1
             if not np.array_equal(acc, array.raw(m, stripe)):
                 self.errors_found += 1

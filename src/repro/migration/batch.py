@@ -22,11 +22,9 @@ protocol, full fault semantics.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_cells
+from repro.codes.code56 import diagonal_chain_cells, diagonal_chain_tables
 from repro.kernels import XorKernel
 from repro.obs.metrics import get_registry
 from repro.raid.array import BlockArray
@@ -59,23 +57,6 @@ _RUN_TILE_BYTES = 1 << 17
 _GATHER_RUN_BYTES = 1 << 17
 
 
-@lru_cache(maxsize=None)
-def _chain_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row chain geometry as arrays: ``R[prow, j]``/``C[prow, j]``
-    the square cell at chain position ``j``, and ``credit[prow, disk]``
-    the per-disk read totals one parity of that row bills."""
-    rows, chain_len = p - 1, p - 2
-    r_tab = np.empty((rows, chain_len), dtype=np.intp)
-    c_tab = np.empty((rows, chain_len), dtype=np.intp)
-    credit = np.zeros((rows, p), dtype=np.int64)
-    for prow in range(rows):
-        for j, (r, c) in enumerate(diagonal_chain_cells(p, prow)):
-            r_tab[prow, j] = r
-            c_tab[prow, j] = c
-            credit[prow, c] += 1
-    return r_tab, c_tab, credit
-
-
 def fused_run_usable(array: BlockArray) -> bool:
     """Fused runs bypass the counted read path, so they are only sound
     when nothing observes it: no fault plane (crash/tear hooks fire on
@@ -86,7 +67,7 @@ def fused_run_usable(array: BlockArray) -> bool:
 
 def run_read_credit(array: BlockArray, p: int, run: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Per-disk read totals the audited path would perform for ``run``."""
-    _r_tab, _c_tab, credit = _chain_tables(p)
+    _r_tab, _c_tab, credit = diagonal_chain_tables(p)
     counts = np.zeros(p - 1, dtype=np.int64)
     for _g, r in run:
         counts[r] += 1
@@ -129,7 +110,7 @@ def execute_run_fused(
         # overhead-bound small run (a group or two per row): one
         # fancy-indexed gather pulls the whole (chain, n, bs) cube, one
         # kernel call reduces it — no per-row Python loop
-        r_tab, c_tab, _credit = _chain_tables(p)
+        r_tab, c_tab, _credit = diagonal_chain_tables(p)
         g_arr = np.fromiter((g for g, _r in run), dtype=np.intp, count=n)
         prows = np.fromiter((r for _g, r in run), dtype=np.intp, count=n)
         np.multiply(g_arr, rows, out=out_blocks)

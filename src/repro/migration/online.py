@@ -699,12 +699,8 @@ class OnlineCode56Conversion:
             raise RuntimeError(
                 f"rebuild failed disks {sorted(self.array.failed_disks)} before verifying"
             )
-        stripe = self.code.empty_stripe(self.array.block_size)
-        for g in range(self.groups):
-            for r in range(self.rows):
-                for c in range(self.p - 1):
-                    stripe[r, c] = self.array.raw(c, g * self.rows + r)
-                stripe[r, self.p - 1] = self.array.raw(self.m, g * self.rows + r)
-            if not self.code.verify(stripe):
-                return False
-        return True
+        # disks 0..m are the stripe's columns 0..p-1: one (group, row,
+        # column, block) view audits every group in one batched call
+        region = self.array.bulk_view(slice(0, self.p), slice(0, self.groups * self.rows))
+        stripes = region.reshape(self.p, self.groups, self.rows, self.array.block_size)
+        return self.code.verify(stripes.transpose(1, 2, 0, 3))
