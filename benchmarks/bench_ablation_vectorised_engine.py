@@ -71,19 +71,19 @@ def bench_vectorised_at_scale(benchmark, show):
     """The fused run lowering at a million-block scale (pure conversion math)."""
     p, groups, bs = 7, 5000, 512  # 5000 groups * 30 data blocks = 150k blocks
     from repro.kernels import resolve_kernel
-    from repro.migration.batch import execute_run_fused
+    from repro.migration.batch import RunProgram
     from repro.raid import BlockArray
 
     array = BlockArray(p, groups * (p - 1), block_size=bs)
     region = array.bulk_view(slice(0, p - 1), slice(0, array.blocks_per_disk))
     rng = np.random.default_rng(1)
     region[...] = rng.integers(0, 256, size=region.shape, dtype=np.uint8)
-    run_all = tuple((g, r) for g in range(groups) for r in range(p - 1))
-    kernel = resolve_kernel(None)
+    run_all = np.arange(groups * (p - 1))  # every parity's cursor key
+    program = RunProgram(array, p, resolve_kernel(None))
 
     def run():
         array.reset_counters()
-        execute_run_fused(array, p, run_all, kernel)
+        program.execute(run_all)
         return len(run_all)
 
     written = benchmark(run)

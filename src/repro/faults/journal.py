@@ -148,8 +148,13 @@ class OnlineJournal:
         self._marked[group, row] = True
         self.appends += 1
 
-    def mark_many(self, entries: Iterable[tuple[int, int]]) -> None:
-        """Group-commit a run of ``(group, row)`` marks in one log append.
+    def mark_many(
+        self, entries: Iterable[tuple[int, int]] | npt.NDArray[np.intp]
+    ) -> None:
+        """Group-commit a run of marks in one log append.
+
+        ``entries`` is ``(group, row)`` pairs or an array of cursor keys
+        ``group * rows + row``.
 
         The batched converter's journal flush: issued only after *every*
         parity write in the run has landed (write-ahead ordering held
@@ -158,12 +163,17 @@ class OnlineJournal:
         resume.  One ``appends`` tick models the single stable-storage
         flush.
         """
-        pairs = tuple(entries)
-        if not pairs:
-            return
-        groups = np.fromiter((g for g, _r in pairs), dtype=np.intp, count=len(pairs))
-        rows = np.fromiter((r for _g, r in pairs), dtype=np.intp, count=len(pairs))
-        self._marked[groups, rows] = True
+        if isinstance(entries, np.ndarray):
+            if not entries.size:
+                return
+            self._marked.reshape(-1)[entries] = True
+        else:
+            pairs = tuple(entries)
+            if not pairs:
+                return
+            groups = np.fromiter((g for g, _r in pairs), dtype=np.intp, count=len(pairs))
+            rows = np.fromiter((r for _g, r in pairs), dtype=np.intp, count=len(pairs))
+            self._marked[groups, rows] = True
         self.appends += 1
 
     def unmark(self, group: int, row: int) -> None:

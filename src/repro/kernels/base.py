@@ -71,7 +71,9 @@ class XorKernel(ABC):
         ``sources`` (an empty sequence zeroes it); ``init=False``
         accumulates ``dst ^= src`` for every source.  Sources may be
         non-contiguous strided views or broadcast rows; ``dst`` is always
-        a writable C-contiguous region and never aliases a source.
+        a writable C-contiguous region and never aliases a source.  A
+        stacked ``(k, rows, block)`` ndarray is a sequence of ``k``
+        sources.
         """
 
     @abstractmethod

@@ -113,7 +113,7 @@ class NumbaXorKernel(XorKernel):
         sources: Sequence[np.ndarray],
         init: bool = True,
     ) -> None:  # pragma: no cover - requires numba
-        if not sources:
+        if len(sources) == 0:
             if init:
                 dst[...] = 0
             return

@@ -49,7 +49,11 @@ class NumpyXorKernel(XorKernel):
         sources: Sequence[np.ndarray],
         init: bool = True,
     ) -> None:
-        if not sources:
+        if init and isinstance(sources, np.ndarray) and sources.shape[1:] == dst.shape:
+            # stacked (k, rows, width) operands: one reduction, no tiling
+            np.bitwise_xor.reduce(sources, axis=0, out=dst)
+            return
+        if len(sources) == 0:
             if init:
                 dst[...] = 0
             return

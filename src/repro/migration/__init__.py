@@ -44,6 +44,6 @@ __all__ += [
     "OnlineRequest",
 ]
 
-from repro.migration.batch import execute_run_fused, fused_run_usable
+from repro.migration.batch import RunProgram, fused_run_usable
 
-__all__ += ["execute_run_fused", "fused_run_usable"]
+__all__ += ["RunProgram", "fused_run_usable"]

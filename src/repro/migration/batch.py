@@ -1,161 +1,156 @@
-"""Fused run lowering for the online converter (Algorithm 2, batched).
+"""Key-indexed run program for the online converter (Algorithm 2, batched).
 
-Between application events the online conversion thread claims a *run*
-of pending diagonal parities (:meth:`OnlineCode56Conversion.pending_run`)
-and, when the array is healthy, hands the whole run to
-:func:`execute_run_fused`: the run is grouped by parity row, each row's
-chain becomes one fused XOR reduction over strided ``bulk_view`` slices
-of the block store (the ISA-L region-op idiom), reduced through the
-selected :class:`~repro.kernels.base.XorKernel` backend into a reused
-scratch pool, and written back through the *counted*
-:meth:`BlockArray.write_blocks` bulk API.  Reads are credited via
-:meth:`BlockArray.credit_ios` with exactly the per-disk totals the
-audited per-parity path performs — zero counter drift.
+A batched run is an ascending array of cursor keys ``group * rows +
+row``.  A parity's key is also its block on the diagonal disk, and chain
+cell ``j`` of key ``k`` sits at flat store index ``idx[k % rows, j] + k
+- k % rows``, where the **index table** ``idx`` is derived from
+:func:`repro.codes.code56.diagonal_chain_tables`.  A chain cell on a
+failed data disk is replaced by its ``m-1`` RAID-5 row mates (data plus
+old parity), the reconstruction the audited ``_read_block`` performs.
+A **credit table** holds each row's per-disk reads on the audited path.
 
-The lowering never runs when a fault plane is attached or a disk has
-failed (:func:`fused_run_usable`): the views bypass the counted read
-hooks that crash points, sector errors and degraded reconstruction hang
-off, so those runs fall back to the audited per-parity generator inside
-:meth:`OnlineCode56Conversion.generate_run_step` — same run/mark
-protocol, full fault semantics.
+:class:`RunProgram` runs each tile of a run (a gathered cube sized to
+stay in L2) as one gather into the converter's own scratch and one
+stacked :meth:`~repro.kernels.base.XorKernel.region_xor_reduce`, then
+makes one counted column write (:meth:`BlockArray.write_blocks`, bounds
+and failed-disk checks included) and one read credit equal to the
+audited per-disk totals — zero counter drift.  It bypasses the counted
+read path, so it only runs where nothing observes that path
+(:func:`fused_run_usable`): no fault plane and at most one failed disk,
+not the diagonal one.  Everything else — fault-planed arrays, two
+failures, a failed diagonal disk (whose write raises ``DiskFailure``) —
+runs the audited per-parity generator inside
+:meth:`OnlineCode56Conversion.generate_run_step`, same run/mark protocol.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_cells, diagonal_chain_tables
+from repro.codes.code56 import diagonal_chain_tables
 from repro.kernels import XorKernel
 from repro.obs.metrics import get_registry
 from repro.raid.array import BlockArray
 
-__all__ = ["fused_run_usable", "execute_run_fused", "run_read_credit"]
+__all__ = ["fused_run_usable", "RunProgram"]
+
+#: gathered-cube budget of one tile: its (chain, parities, block)
+#: operands stay resident in L2 while they are reduced
+_TILE_BYTES = 1 << 20
 
 
-class _RunScratch:
-    """Grow-only scratch backing for run outputs (one flat allocation)."""
-
-    def __init__(self) -> None:
-        self._buf = np.empty(0, dtype=np.uint8)
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
-        if self._buf.size < n:
-            self._buf = np.empty(n, dtype=np.uint8)
-        return self._buf[:n].reshape(shape)
+def fused_run_usable(array: BlockArray, diagonal_disk: int | None = None) -> bool:
+    """Can :class:`RunProgram` run on ``array``?  No fault plane, and at
+    most one failed disk, not ``diagonal_disk`` (default: the last,
+    hot-added disk)."""
+    failed = array.failed_disks
+    diagonal = array.n_disks - 1 if diagonal_disk is None else diagonal_disk
+    return array.fault_plane is None and len(failed) <= 1 and diagonal not in failed
 
 
-_SCRATCH = _RunScratch()
-
-#: destination-tile budget — keep each fused reduction's working set in
-#: cache rather than streaming a giant run extent once per chain cell
-_RUN_TILE_BYTES = 1 << 17
-
-#: below this many destination bytes a run is overhead-bound (one or two
-#: groups per row): gather the whole chain cube in one fancy index and
-#: reduce it in a single kernel call instead of a reduction per row
-_GATHER_RUN_BYTES = 1 << 17
-
-
-def fused_run_usable(array: BlockArray) -> bool:
-    """Fused runs bypass the counted read path, so they are only sound
-    when nothing observes it: no fault plane (crash/tear hooks fire on
-    counted reads) and no failed disks (counted reads raise
-    ``DiskFailure``; views would silently serve stale bytes)."""
-    return array.fault_plane is None and not array.failed_disks
-
-
-def run_read_credit(array: BlockArray, p: int, run: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Per-disk read totals the audited path would perform for ``run``."""
-    _r_tab, _c_tab, credit = diagonal_chain_tables(p)
-    counts = np.zeros(p - 1, dtype=np.int64)
-    for _g, r in run:
-        counts[r] += 1
-    reads = np.zeros(array.n_disks, dtype=np.int64)
-    reads[:p] = counts @ credit
-    return reads
-
-
-def execute_run_fused(
-    array: BlockArray,
-    p: int,
-    run: tuple[tuple[int, int], ...],
-    kernel: XorKernel,
-) -> int:
-    """Generate every diagonal parity of ``run`` in fused region ops.
-
-    ``run`` is a cursor-ordered tuple of ``(group, row)`` pairs.  Returns
-    the conversion-thread cost in Te ticks — ``(p-1)`` per parity, the
-    same ``(p-2)`` chain reads + 1 write the audited path bills on a
-    healthy array.  Byte- and counter-identical to looping
-    ``_generate_parity`` over the run.
-    """
-    if not run:
-        return 0
+@lru_cache(maxsize=64)
+def _index_tables(
+    p: int, blocks_per_disk: int, n_disks: int, failed: frozenset[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(idx, credit)`` of every parity row with the chain cells on
+    failed data disks rebuilt from their RAID-5 row mates (read-only)."""
     m = p - 1
-    rows = p - 1
-    bs = array.block_size
-    n = len(run)
+    r_tab, c_tab, _per_col = diagonal_chain_tables(p)
+    chains = []
+    for rs, cs in zip(r_tab.tolist(), c_tab.tolist()):
+        cells: list[tuple[int, int]] = []
+        for r, c in zip(rs, cs):
+            cells += [(r, d) for d in range(m) if d != c] if c in failed else [(r, c)]
+        chains.append(cells)
+    width = max(map(len, chains))
+    idx = np.empty((m, width), dtype=np.intp)
+    credit = np.zeros((m, n_disks), dtype=np.int64)
+    for prow, cells in enumerate(chains):
+        flat = [d * blocks_per_disk + r for r, d in cells]
+        # chain lengths differ by multiples of m-2, which is even: pad
+        # with pairs of one cell, which XOR-cancel
+        idx[prow] = flat + [flat[0]] * (width - len(flat))
+        for _r, d in cells:
+            credit[prow, d] += 1
+    for table in (idx, credit):
+        table.flags.writeable = False
+    return idx, credit
 
-    max_group = max(g for g, _r in run)
-    span = slice(0, (max_group + 1) * rows)
-    # (disk, group, row, block) view of the square region
-    region = array.bulk_view(slice(0, m), span).reshape(m, max_group + 1, rows, bs)
 
-    out = _SCRATCH.take((n, bs))
-    out_blocks = np.empty(n, dtype=np.intp)
-    xor_bytes = 0
+class RunProgram:
+    """One converter's run program: index tables, credit, scratch.
 
-    if n * bs <= _GATHER_RUN_BYTES:
-        # overhead-bound small run (a group or two per row): one
-        # fancy-indexed gather pulls the whole (chain, n, bs) cube, one
-        # kernel call reduces it — no per-row Python loop
-        r_tab, c_tab, _credit = diagonal_chain_tables(p)
-        g_arr = np.fromiter((g for g, _r in run), dtype=np.intp, count=n)
-        prows = np.fromiter((r for _g, r in run), dtype=np.intp, count=n)
-        np.multiply(g_arr, rows, out=out_blocks)
-        out_blocks += prows
-        cube = region[c_tab[prows].T, g_arr[None, :], r_tab[prows].T, :]
-        kernel.region_xor_reduce(out[:n], list(cube), init=True)
-        xor_bytes = cube.nbytes
-    else:
-        # streaming run: group entries by parity row — a cursor-ordered
-        # run keeps each row's groups sorted (contiguous when dense) —
-        # and reduce strided views straight off the block store, tiled
-        # to keep the destination working set in cache
-        by_row: dict[int, list[int]] = {}
-        for g, r in run:
-            by_row.setdefault(r, []).append(g)
-        pos = 0
-        for prow in sorted(by_row):
-            gs = by_row[prow]
-            chain = diagonal_chain_cells(p, prow)
-            k = len(gs)
-            out_blocks[pos : pos + k] = np.asarray(gs, dtype=np.intp) * rows + prow
-            contiguous = k == gs[-1] - gs[0] + 1
-            idx = None if contiguous else np.asarray(gs, dtype=np.intp)
-            tile = max(1, min(k, _RUN_TILE_BYTES // bs))
-            for lo in range(0, k, tile):
-                hi = min(k, lo + tile)
-                dst = out[pos + lo : pos + hi]
-                if contiguous:
-                    g0 = gs[0]
-                    sources = [region[c, g0 + lo : g0 + hi, r, :] for r, c in chain]
-                else:
-                    sources = [region[c][idx[lo:hi], r, :] for r, c in chain]
-                kernel.region_xor_reduce(dst, sources, init=True)
-                xor_bytes += len(chain) * dst.nbytes
-            pos += k
+    The scratch is owned by the program, so converters on different
+    threads never share a buffer (numpy ufuncs release the GIL).
+    """
 
-    # the views above replaced the counted chain reads; credit the
-    # identical per-disk totals, then write parities through the counted
-    # bulk API (one flush for the whole run)
-    array.credit_ios(reads=run_read_credit(array, p, run))
-    array.write_blocks(np.full(n, m, dtype=np.intp), out_blocks, out[:n])
+    def __init__(self, array: BlockArray, p: int, kernel: XorKernel):
+        self.array = array
+        self.p = p
+        self.kernel = kernel
+        self._scratch = np.empty(0, dtype=np.uint8)
 
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("online.fused_runs", kernel=kernel.name).inc()
-        registry.counter("online.fused_parities", kernel=kernel.name).inc(n)
-        registry.counter("online.fused_xor_bytes", kernel=kernel.name).inc(xor_bytes)
-    return n * (p - 1)
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(idx, credit)`` for the array's current failed set."""
+        array = self.array
+        return _index_tables(self.p, array.blocks_per_disk, array.n_disks, array.failed_disks)
+
+    def chain_xor(self, keys: np.ndarray) -> np.ndarray:
+        """Uncounted chain XOR of every parity in ``keys`` (ascending
+        cursor keys): a ``(len(keys), block)`` view of the scratch."""
+        bs = self.array.block_size
+        flat = self.array.bulk_view(slice(None), slice(None)).reshape(-1, bs)
+        prows = keys % (self.p - 1)
+        offsets = self.tables()[0][prows].T + (keys - prows)  # (chain, parities)
+        width, n = offsets.shape
+        tile = min(n, max(1, _TILE_BYTES // (width * bs)))
+        need = (n + width * tile) * bs
+        if self._scratch.size < need:
+            self._scratch = np.empty(need, dtype=np.uint8)
+        out = self._scratch[: n * bs].reshape(n, bs)
+        cube = self._scratch[n * bs : need]
+        for lo in range(0, n, tile):
+            hi = min(n, lo + tile)
+            ops = cube[: width * (hi - lo) * bs].reshape(width, hi - lo, bs)
+            np.take(flat, offsets[:, lo:hi], axis=0, out=ops, mode="clip")
+            self.kernel.region_xor_reduce(out[lo:hi], ops)
+        return out
+
+    def matches(self, keys: np.ndarray) -> np.ndarray:
+        """Uncounted: does each parity of ``keys`` hold its chain XOR?"""
+        bs = self.array.block_size
+        step = max(1, _TILE_BYTES // (self.tables()[0].shape[1] * bs))
+        ok = np.empty(keys.size, dtype=bool)
+        for lo in range(0, keys.size, step):
+            part = keys[lo : lo + step]
+            stored = self.array.gather_raw(np.full(part.size, self.p - 1), part)
+            ok[lo : lo + step] = (self.chain_xor(part) == stored).all(axis=1)
+        return ok
+
+    def read_credit(self, keys: np.ndarray) -> np.ndarray:
+        """Per-disk reads the audited path performs for ``keys``."""
+        return self.tables()[1][keys % (self.p - 1)].sum(axis=0)
+
+    def execute(self, keys: np.ndarray) -> int:
+        """Generate every diagonal parity of ``keys`` and write it.
+
+        Returns the conversion-thread cost in Te ticks — the audited
+        path's chain reads (``m-1`` per reconstructed cell) plus one
+        write per parity.  Byte- and counter-identical to looping
+        ``_generate_parity`` over the run.
+        """
+        out = self.chain_xor(keys)
+        reads = self.read_credit(keys)
+        self.array.credit_ios(reads=reads)
+        self.array.write_blocks(np.full(keys.size, self.p - 1), keys, out)
+        registry = get_registry()
+        if registry.enabled:
+            name = self.kernel.name
+            registry.counter("online.fused_runs", kernel=name).inc()
+            registry.counter("online.fused_parities", kernel=name).inc(keys.size)
+            registry.counter("online.fused_xor_bytes", kernel=name).inc(
+                self.tables()[0].shape[1] * out.nbytes
+            )
+        return int(reads.sum()) + keys.size

@@ -44,11 +44,14 @@ parities onto the fused kernel tier between application events:
 * :meth:`~OnlineCode56Conversion.pending_run` — the next (up to a
   budget) pending parities, in cursor order, without mutating state;
 * :meth:`~OnlineCode56Conversion.generate_run_step` — generate every
-  parity of the run: through :func:`repro.migration.batch.
-  execute_run_fused` on a healthy array (region XOR through the
-  selected kernel backend, counted bulk write, credited reads), or the
-  audited per-parity loop under a fault plane / failed disk.  The run
-  stays *in flight* — bytes landed, nothing marked;
+  parity of the run: through the converter's key-indexed
+  :class:`repro.migration.batch.RunProgram` on an array with no fault
+  plane and at most one failed data disk (gathered chain cubes reduced
+  through the selected kernel backend, the failed disk's cells rebuilt
+  from their RAID-5 row mates, counted bulk write, credited reads), or
+  the audited per-parity loop under a fault plane, two failures or a
+  failed diagonal disk.  The run stays *in flight* — bytes landed,
+  nothing marked;
 * :meth:`~OnlineCode56Conversion.mark_run_step` — the group commit: one
   journal flush (:meth:`OnlineJournal.mark_many`) for the whole run,
   only after every parity write landed.  Write-ahead ordering is
@@ -75,6 +78,8 @@ interruptibility; both totals are reported.
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +89,7 @@ from repro.codes.registry import get_code
 from repro.faults.errors import ReadFaultError, TransientIOError
 from repro.faults.events import DiskFailureEvent
 from repro.kernels import XorKernel, resolve_kernel
-from repro.migration.batch import execute_run_fused, fused_run_usable
+from repro.migration.batch import RunProgram, fused_run_usable
 from repro.obs.tracer import get_tracer
 from repro.raid.array import BlockArray
 from repro.raid.layouts import Raid5Layout, locate_block, parity_disk
@@ -195,10 +200,12 @@ class OnlineCode56Conversion:
         self.groups = array.blocks_per_disk // self.rows
         # generated[g][i] — diagonal parity (i, p-1) of group g written?
         self._generated = np.zeros((self.groups, self.rows), dtype=bool)
+        self._flat_generated = self._generated.reshape(-1)  # by cursor key
         self._cursor = 0  # next (group * rows + row) to generate
-        #: in-flight run: parities written but not yet marked (None = idle)
-        self._run: tuple[tuple[int, int], ...] | None = None
-        self._run_keys: np.ndarray | None = None  # cursor keys, ascending
+        #: in-flight run: ascending cursor keys of parities written but
+        #: not yet marked (None = idle)
+        self._run: np.ndarray | None = None
+        self._program = RunProgram(array, p, self.kernel)
         self.journal = journal
         #: completed events — a resume harness slices its event lists by
         #: these (app serves are never crash-interrupted, so every event
@@ -214,37 +221,19 @@ class OnlineCode56Conversion:
             self._validate_journal(journal)
 
     def _validate_journal(self, journal) -> None:
-        """Trust-but-verify resume: recompute every marked parity's chain."""
-        stale = 0
-        for group in range(self.groups):
-            for row in range(self.rows):
-                if not journal.is_marked(group, row):
-                    continue
-                expect = self._chain_xor_uncounted(group, row)
-                block = group * self.rows + row
-                if np.array_equal(self.array.raw(self.m, block), expect):
-                    self._generated[group, row] = True
-                else:
-                    journal.unmark(group, row)  # stale: regenerate, never trust
-                    stale += 1
-        if stale:
-            plane = self.array.fault_plane
-            if plane is not None:
-                plane.counters["stale_checkpoints"] += stale
-
-    def _chain_xor_uncounted(self, group: int, parity_row: int) -> np.ndarray:
-        """Recompute one diagonal parity from raw bytes (recovery scan)."""
-        acc = np.zeros(self.array.block_size, dtype=np.uint8)
-        failed = self.array.failed_disks
-        for r, c in self._diag_chain(parity_row):
-            block = group * self.rows + r
-            if c in failed:  # RAID-5 row reconstruction, uncounted
-                for d in range(self.m):
-                    if d != c:
-                        np.bitwise_xor(acc, self.array.raw(d, block), out=acc)
-            else:
-                np.bitwise_xor(acc, self.array.raw(c, block), out=acc)
-        return acc
+        """Trust-but-verify resume: recompute every marked parity's chain
+        (uncounted; cells on failed data disks rebuilt from raw row mates)."""
+        keys = np.flatnonzero(journal.marked())
+        if not keys.size:
+            return
+        ok = self._program.matches(keys)
+        self._flat_generated[keys[ok]] = True
+        stale = keys[~ok]
+        for key in stale.tolist():
+            journal.unmark(*divmod(key, self.rows))  # stale: regenerate, never trust
+        plane = self.array.fault_plane
+        if stale.size and plane is not None:
+            plane.counters["stale_checkpoints"] += int(stale.size)
 
     # ----------------------------------------------------------- geometry
     @property
@@ -379,37 +368,41 @@ class OnlineCode56Conversion:
         self._cursor += 1
 
     # ----------------------------------------------- batched run transitions
+    def _pairs(self, keys: np.ndarray) -> tuple[tuple[int, int], ...]:
+        return tuple(divmod(key, self.rows) for key in keys.tolist())
+
     @property
     def in_flight_run(self) -> tuple[tuple[int, int], ...] | None:
         """The run whose parity bytes landed but whose marks have not."""
-        return self._run
+        return None if self._run is None else self._pairs(self._run)
+
+    def _pending_keys(self, budget: int | None) -> np.ndarray:
+        """Cursor keys of the next up-to-``budget`` pending parities."""
+        cur = self._cursor
+        limit = max(0, self.batch if budget is None else int(budget))
+        window = self._flat_generated[cur : cur + limit]
+        if not window.any():
+            return np.arange(cur, cur + window.size)
+        return np.flatnonzero(~self._flat_generated[cur:])[:limit] + cur
 
     def pending_run(self, budget: int | None = None) -> tuple[tuple[int, int], ...]:
-        """Next up-to-``budget`` pending parities in cursor order.
+        """Next up-to-``budget`` pending ``(group, row)`` parities in
+        cursor order.
 
         Pure query — neither the cursor nor the generated bitmap moves
         (the commit happens in :meth:`mark_run_step`).  Empty when the
         thread has drained.
         """
-        limit = self.batch if budget is None else int(budget)
-        total = self.groups * self.rows
-        run: list[tuple[int, int]] = []
-        cur = self._cursor
-        while cur < total and len(run) < limit:
-            group, row = divmod(cur, self.rows)
-            if not self._generated[group, row]:
-                run.append((group, row))
-            cur += 1
-        return tuple(run)
+        return self._pairs(self._pending_keys(budget))
 
     def generate_run_step(self, report: OnlineReport, budget: int | None = None) -> int:
         """Transition: claim a run and write every parity in it — array only.
 
-        On a healthy array the whole run is lowered to fused region ops
-        through the kernel backend (:func:`repro.migration.batch.
-        execute_run_fused` — counted bulk write, credited reads, zero
-        counter drift); under a fault plane or with failed disks it
-        falls back to the audited per-parity generator so degraded
+        With no fault plane and at most one failed data disk the whole
+        run executes as the converter's :class:`~repro.migration.batch.
+        RunProgram` (gathered chain cubes through the kernel backend,
+        counted bulk write, credited reads — zero counter drift);
+        otherwise it runs the audited per-parity generator so
         reconstruction and crash/fault hooks keep firing at every I/O.
         Either way nothing is marked: the run stays in flight until
         :meth:`mark_run_step`, and the whole window is the crash window
@@ -418,19 +411,18 @@ class OnlineCode56Conversion:
         """
         if self._run is not None:
             raise RuntimeError("a parity run is already in flight; mark it first")
-        run = self.pending_run(budget)
-        if not run:
+        keys = self._pending_keys(budget)
+        if not keys.size:
             return 0
-        if fused_run_usable(self.array):
-            cost = execute_run_fused(self.array, self.p, run, self.kernel)
+        if fused_run_usable(self.array, self.m):
+            cost = self._program.execute(keys)
+            # a rebuilt chain cell costs m-1 reads instead of 1
+            report.degraded_reads += cost - keys.size * (self.p - 1)
         else:
             cost = 0
-            for group, row in run:
-                cost += self._generate_parity(group, row, report)
-        self._run = run
-        self._run_keys = np.fromiter(
-            (g * self.rows + r for g, r in run), dtype=np.int64, count=len(run)
-        )
+            for key in keys.tolist():
+                cost += self._generate_parity(*divmod(key, self.rows), report)
+        self._run = keys
         return cost
 
     def mark_run_step(self) -> None:
@@ -441,17 +433,14 @@ class OnlineCode56Conversion:
         landed, preserving write-ahead ordering run-wide — then the
         cursor advances past the run.
         """
-        run = self._run
-        if run is None:
+        keys = self._run
+        if keys is None:
             raise RuntimeError("no parity run in flight")
-        for group, row in run:
-            self._generated[group, row] = True
+        self._flat_generated[keys] = True
         if self.journal is not None:
-            self.journal.mark_many(run)
-        last_g, last_r = run[-1]
-        self._cursor = max(self._cursor, last_g * self.rows + last_r + 1)
+            self.journal.mark_many(keys)
+        self._cursor = max(self._cursor, int(keys[-1]) + 1)
         self._run = None
-        self._run_keys = None
 
     def run_overlaps(self, group: int, prow: int) -> bool:
         """Vectorized overlap check of one parity against the in-flight run.
@@ -461,7 +450,7 @@ class OnlineCode56Conversion:
         write path uses to patch parities whose bytes landed but whose
         marks have not.
         """
-        keys = self._run_keys
+        keys = self._run
         if keys is None:
             return False
         key = group * self.rows + prow
@@ -471,7 +460,7 @@ class OnlineCode56Conversion:
 
     def thread_state(self) -> tuple[int, np.ndarray, tuple[tuple[int, int], ...] | None]:
         """Snapshot of the conversion thread (cursor, generated, in-flight run)."""
-        return self._cursor, self._generated.copy(), self._run
+        return self._cursor, self._generated.copy(), self.in_flight_run
 
     def restore_thread_state(
         self, state: tuple[int, np.ndarray, tuple[tuple[int, int], ...] | None]
@@ -480,13 +469,8 @@ class OnlineCode56Conversion:
         cursor, generated, run = state
         self._cursor = int(cursor)
         self._generated[...] = generated
-        self._run = run
-        self._run_keys = (
-            None
-            if run is None
-            else np.fromiter(
-                (g * self.rows + r for g, r in run), dtype=np.int64, count=len(run)
-            )
+        self._run = (
+            None if run is None else np.array([g * self.rows + r for g, r in run], dtype=np.intp)
         )
 
     def _parity_cost_estimate(self) -> int:
@@ -499,25 +483,26 @@ class OnlineCode56Conversion:
         return est + failed_data * (self.m - 2)
 
     def _convert_until(self, deadline: float, clock: float, report: OnlineReport) -> float:
-        from contextlib import nullcontext
-
         if self._cursor >= self.groups * self.rows:
             return clock
-        start_tick, start_parities = clock, int(self._generated.sum())
+        tracer = get_tracer()
+        start_tick = clock
+        start_parities = int(self._generated.sum()) if tracer.enabled else 0
         plane = self.array.fault_plane
         # only the conversion thread is crashable: an armed crash kills a
         # parity generation at an I/O boundary, never an app serve
-        with get_tracer().span(
+        with tracer.span(
             "convert", cat="online", track="conversion", tick=clock,
         ) as span, (plane.crashable() if plane is not None else nullcontext()):
             if self.batch <= 1:
                 clock = self._convert_per_parity(deadline, clock, report, plane)
             else:
                 clock = self._convert_batched(deadline, clock, report, plane)
-            span.set(
-                ticks=clock - start_tick,
-                parities=int(self._generated.sum()) - start_parities,
-            )
+            if tracer.enabled:
+                span.set(
+                    ticks=clock - start_tick,
+                    parities=int(self._generated.sum()) - start_parities,
+                )
         return clock
 
     def _convert_per_parity(self, deadline, clock, report, plane) -> float:
@@ -552,23 +537,22 @@ class OnlineCode56Conversion:
             budget = self.batch
             if deadline != float("inf"):
                 est = self._parity_cost_estimate()
-                room = int(np.ceil((deadline - clock) / est))
+                room = math.ceil((deadline - clock) / est)
                 budget = max(1, min(self.batch, room))
             cost = self.generate_run_step(report, budget=budget)
             if cost == 0:
                 break
-            run = self._run
-            assert run is not None
+            keys = self._run
+            assert keys is not None
             if plane is not None:
                 # group-wide write-done/marks-missing window
-                plane.crash_point(
-                    f"pre-mark-run:g{run[0][0]}r{run[0][1]}x{len(run)}"
-                )
+                group, row = divmod(int(keys[0]), self.rows)
+                plane.crash_point(f"pre-mark-run:g{group}r{row}x{keys.size}")
             report.conversion_ticks += cost
             clock += cost
             report.runs_committed += 1
-            report.max_run = max(report.max_run, len(run))
-            if budget < self.batch and len(run) == budget:
+            report.max_run = max(report.max_run, keys.size)
+            if budget < self.batch and keys.size == budget:
                 report.batch_shrinks += 1
             self.mark_run_step()
             if clock >= deadline:

@@ -219,13 +219,17 @@ class BlockArray:
         if disks.shape != blocks.shape:
             raise ValueError("disks and blocks must have the same length")
         if disks.size:
-            if disks.min() < 0 or disks.max() >= self.n_disks:
+            # viewed unsigned, a negative index exceeds every bound
+            if disks.view(np.uintp).max() >= self.n_disks:
                 raise IndexError("disk index outside array")
-            if blocks.min() < 0 or blocks.max() >= self.blocks_per_disk:
+            if blocks.view(np.uintp).max() >= self.blocks_per_disk:
                 raise IndexError("block index outside disk")
-            if self._failed and np.isin(disks, sorted(self._failed)).any():
-                hit = sorted(set(int(d) for d in disks) & self._failed)
-                raise DiskFailure(f"disk(s) {hit} have failed")
+            if self._failed:
+                down = np.zeros(self.n_disks, dtype=bool)  # per-disk lookup
+                down[list(self._failed)] = True
+                if down[disks].any():
+                    hit = sorted(set(int(d) for d in disks) & self._failed)
+                    raise DiskFailure(f"disk(s) {hit} have failed")
         return disks, blocks
 
     def read_blocks(self, disks, blocks) -> np.ndarray:

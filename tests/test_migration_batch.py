@@ -14,7 +14,9 @@ import pytest
 
 from repro.faults.journal import OnlineJournal
 from repro.migration import build_plan, prepare_source_array
-from repro.migration.batch import fused_run_usable, run_read_credit
+from repro.faults.plane import FaultPlane
+from repro.kernels import resolve_kernel
+from repro.migration.batch import RunProgram, fused_run_usable
 from repro.migration.online import OnlineCode56Conversion, OnlineRequest
 
 
@@ -119,12 +121,21 @@ class TestBatchedUnderWrites:
 
 
 class TestDegradedFallback:
-    """Fault plane / failed disks force the audited per-parity generator."""
+    """A fault plane, two failures or a failed diagonal disk force the
+    audited per-parity generator; one failed data disk runs fused."""
 
     def test_fused_unusable_on_failed_disk(self):
         arr = _online_array()
         arr.fail_disk(1)
+        assert fused_run_usable(arr)
+        arr.fail_disk(2)
         assert not fused_run_usable(arr)
+        diagonal = _online_array()
+        diagonal.fail_disk(4)
+        assert not fused_run_usable(diagonal)
+        planed = _online_array()
+        planed.attach_fault_plane(FaultPlane())
+        assert not fused_run_usable(planed)
 
     def test_fused_usable_on_healthy_array(self):
         assert fused_run_usable(_online_array())
@@ -234,7 +245,8 @@ class TestReadCredit:
         OnlineCode56Conversion(ref, 5, batch=1).run([])
         OnlineCode56Conversion(arr, 5, batch=8).run([])
         run = tuple((g, r) for g in range(2) for r in range(4))
-        credit = run_read_credit(arr, 5, run)
+        keys = np.array([g * 4 + r for g, r in run])
+        credit = RunProgram(arr, 5, resolve_kernel(None)).read_credit(keys)
         assert credit.sum() == 8 * 3  # (p-2) chain reads per parity
         assert np.array_equal(arr.reads, ref.reads)
 
