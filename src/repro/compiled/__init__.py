@@ -31,6 +31,7 @@ from repro.compiled.program import (
     PhaseProgram,
     RegionOp,
     RegionTerm,
+    ResidueFamily,
     SparseTerm,
 )
 from repro.compiled.recovery import assemble_all_groups, batch_recover_columns
@@ -43,6 +44,7 @@ __all__ = [
     "PhaseProgram",
     "RegionOp",
     "RegionTerm",
+    "ResidueFamily",
     "SparseTerm",
     "UnsupportedPlanError",
     "assemble_all_groups",

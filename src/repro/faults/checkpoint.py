@@ -35,7 +35,9 @@ compiled phase then takes one of two routes:
   disk failures and read faults into RAID-5 row reconstructions.
 
 Audited units always take the per-block route.  Each compiled phase
-emits a ``compiled.phase`` span whose ``path`` names the route taken.
+emits a ``compiled.phase`` span whose ``path`` names the route taken
+and whose ``audit`` names how reused parities were checked (a healthy
+fused phase audits zero residues; a rerouted degraded one compares).
 """
 
 from __future__ import annotations
@@ -210,6 +212,7 @@ def _run_phase_checkpointed(program, ph, array: BlockArray, reader) -> None:
         parities=int(ph.parity_disk.size),
         path="fused" if fused is not None else "stripe",
         kernel=kernel.name if kernel is not None else "",
+        audit=_executor._audit_route(ph, fused),
         degraded=bool(array.failed_disks),
     ):
         code = program.code
@@ -239,12 +242,10 @@ def _run_phase_checkpointed(program, ph, array: BlockArray, reader) -> None:
             array.write_blocks(ph.parity_disk, ph.parity_block, flat[ph.parity_cell])
         if ph.check_disk.size:
             actual = array.gather_raw(ph.check_disk[audit], ph.check_block[audit])
-            if not np.array_equal(flat[ph.check_cell[audit]], actual):
-                bad = np.flatnonzero((flat[ph.check_cell[audit]] != actual).any(axis=1))
-                raise AssertionError(
-                    f"pre-existing parity at {bad.size} location(s) of phase "
-                    f"{ph.phase} does not match the recomputed value — old "
-                    "parity was not valid"
+            expect = flat[ph.check_cell[audit]]
+            if not np.array_equal(expect, actual):
+                _executor._raise_invalid_parity(
+                    ph, int(np.count_nonzero((expect != actual).any(axis=1)))
                 )
 
 
