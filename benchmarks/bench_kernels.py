@@ -1,8 +1,9 @@
-"""Fused kernel backends vs the stripe-tensor compiled engine.
+"""Fused kernel backends vs a stripe-tensor baseline.
 
 Every supported (code, approach) pair at p=13 runs the same compiled
-program three ways — the stripe-tensor path (``use_fused=False``, the
-pre-kernel engine), the fused region-op path under every available
+program three ways — the stripe-tensor baseline (the pre-kernel engine,
+rebuilt here from public calls: :func:`_stripe_baseline`), the fused
+region-op path under every available
 :class:`~repro.kernels.base.XorKernel` backend, and the audited
 per-block engine as the byte/counter oracle.  Results must be
 byte-identical with identical per-disk counters everywhere; the fused
@@ -80,6 +81,39 @@ def _groups_for(code: str, approach: str, target: int) -> int:
     return cycle * max(1, -(-target // cycle))
 
 
+def _stripe_baseline(program, array, scratch: np.ndarray) -> None:
+    """The pre-kernel compiled engine from public calls: per phase, the
+    counted migrations, NULL writes and trims, then the read and fill
+    cells gathered into a reused ``(batch, rows, cols, block)`` stripe
+    tensor, one batched ``code.encode``, one counted parity scatter and
+    the reused-parity compare."""
+    code, bs = program.code, array.block_size
+    array.reset_counters()
+    for ph in program.phases:
+        if ph.migrate_src_disk.size:
+            payload = array.read_blocks(ph.migrate_src_disk, ph.migrate_src_block)
+            array.write_blocks(ph.migrate_dst_disk, ph.migrate_dst_block, payload)
+        if ph.null_disk.size:
+            array.write_zero_blocks(ph.null_disk, ph.null_block)
+        if ph.trim_disk.size:
+            array.trim_blocks(ph.trim_disk, ph.trim_block)
+        if ph.batch == 0:
+            continue
+        stripes = scratch[: ph.batch * code.rows * code.cols * bs].reshape(
+            ph.batch, code.rows, code.cols, bs
+        )
+        stripes[...] = 0
+        flat = stripes.reshape(-1, bs)
+        flat[ph.read_cell] = array.read_blocks(ph.read_disk, ph.read_block)
+        if ph.fill_disk.size:
+            flat[ph.fill_cell] = array.gather_raw(ph.fill_disk, ph.fill_block)
+        code.encode(stripes)
+        array.write_blocks(ph.parity_disk, ph.parity_block, flat[ph.parity_cell])
+        if ph.check_disk.size:
+            actual = array.gather_raw(ph.check_disk, ph.check_block)
+            assert np.array_equal(flat[ph.check_cell], actual), "old parity was not valid"
+
+
 def _time_config(code: str, approach: str, block_size: int) -> list[dict]:
     groups = _groups_for(code, approach, GROUPS_TARGET[block_size])
     plan = build_plan(code, approach, P, groups=groups)
@@ -95,27 +129,33 @@ def _time_config(code: str, approach: str, block_size: int) -> list[dict]:
 
     program = compile_plan(plan)
 
-    def best_of(kernel, use_fused):
+    scratch = np.empty(
+        max(ph.batch for ph in program.phases) * program.rows * program.cols * block_size,
+        dtype=np.uint8,
+    )
+
+    def best_of(label, run):
         t_best = float("inf")
         for _ in range(ROUNDS):
             array.restore(snapshot)
             t0 = time.perf_counter()
-            execute_plan_compiled(
-                plan, array, data, program=program, kernel=kernel, use_fused=use_fused
-            )
+            run()
             t_best = min(t_best, time.perf_counter() - t0)
-        label = f"{code}/{approach}@bs={block_size}" + (
-            f" kernel={kernel}" if use_fused else " stripe"
-        )
+        label = f"{code}/{approach}@bs={block_size} {label}"
         assert np.array_equal(array.snapshot(), expect), f"{label}: bytes differ"
         assert np.array_equal(array.reads, expect_reads), f"{label}: reads differ"
         assert np.array_equal(array.writes, expect_writes), f"{label}: writes differ"
         return t_best
 
-    stripe_s = best_of(None, use_fused=False)
+    stripe_s = best_of("stripe", lambda: _stripe_baseline(program, array, scratch))
     rows = []
     for kernel in available_kernels():
-        fused_s = best_of(kernel, use_fused=True)
+        fused_s = best_of(
+            f"kernel={kernel}",
+            lambda k=kernel: execute_plan_compiled(
+                plan, array, data, program=program, kernel=k
+            ),
+        )
         rows.append(
             {
                 "code": code,
@@ -202,7 +242,7 @@ def bench_kernels(benchmark, show):
 
     meta = report["meta"]
     lines = [
-        f"fused kernels vs stripe-tensor engine, p={P} "
+        f"fused kernels vs stripe-tensor baseline, p={P} "
         f"(BENCH_kernels.json; smoke={meta['smoke']}, "
         f"host={meta['host']['cpus']} cpu(s), "
         f"numba={'yes' if meta['host']['numba_available'] else 'no'})"

@@ -1,8 +1,8 @@
 """Compiled execution layer: conversion plans as NumPy index programs.
 
 ``compile_plan`` lowers any :class:`ConversionPlan` — every code and
-approach the planners support — into flat gather/scatter index vectors
-plus batched parity encodes; ``execute_plan_compiled`` replays the
+approach the planners support — into flat gather/scatter index vectors,
+lowered to fused XOR region reductions; ``execute_plan_compiled`` replays the
 program against a :class:`BlockArray` through the counted bulk-I/O API,
 producing the byte-identical array and per-disk counters of the audited
 engine at a fraction of the wall time.  ``assemble_all_groups`` /

@@ -257,7 +257,7 @@ def compile_plan(plan: ConversionPlan, use_cache: bool = True) -> CompiledPlan:
         program = _load_program_from_disk(disk_path, key, plan)
         if program is not None:
             _CACHE_STATS["disk_hits"] += 1
-            program = lower_program(program)
+            program = _lowered(program)
             _CACHE[key] = program
             return program
         _CACHE_STATS["disk_errors"] += 1
@@ -280,9 +280,22 @@ def compile_plan(plan: ConversionPlan, use_cache: bool = True) -> CompiledPlan:
     if use_cache and disk_path is not None:
         # persist the raw index vectors only; the fused IR is re-derived
         _store_program_to_disk(disk_path, program)
-    program = lower_program(program)
+    program = _lowered(program)
     if use_cache:
         _CACHE[key] = program
+    return program
+
+
+def _lowered(program: CompiledPlan) -> CompiledPlan:
+    """:func:`lower_program`, refusing a parity phase it cannot lower —
+    the executor has no other way to compute one."""
+    program = lower_program(program)
+    for ph in program.phases:
+        if ph.batch and ph.fused is None:
+            raise UnsupportedPlanError(
+                f"phase {ph.phase} of {program.code.name} cannot be lowered to "
+                "region ops (custom encode)"
+            )
     return program
 
 
@@ -446,10 +459,11 @@ def _check_hazards(
 # region-fusion lowering: stripe-tensor encode -> kernel-backend RegionOps
 # --------------------------------------------------------------------------
 #
-# The stripe-tensor path gathers every read/fill into a (batch, rows,
-# cols, block) tensor, runs ArrayCode.encode, and scatters the parities
-# back — two full copies of the working set before any XOR happens.  The
-# fusion pass removes both: the stripe value of any cell is, by
+# The phase vectors describe a stripe tensor: every read/fill gathered
+# into a (batch, rows, cols, block) tensor, ArrayCode.encode run over
+# it, and the parities scattered back — two full copies of the working
+# set before any XOR happens.  The fusion pass never builds it: the
+# stripe value of any cell is, by
 # construction, the physical block its slot reads/fills (or zero), so
 # each parity chain can be computed for all groups at once by XOR-ing
 # *views of the block store directly* into a (batch, block) destination.
@@ -475,11 +489,12 @@ def lower_program(program: CompiledPlan) -> CompiledPlan:
 
     Fusion replays :meth:`ArrayCode.encode` symbolically, so it is only
     valid for codes using the stock chain-walk encode; a subclass with a
-    custom ``encode`` keeps ``fused=None`` and runs the tensor path.
-    Phases that cannot be lowered (no parity work, or a shape the pass
-    does not model) also keep ``fused=None`` — lowering never fails, it
-    degrades.  Each lowered phase also carries the reused-parity audits
-    that stack as zero-residue families (:func:`_residue_families`).
+    custom ``encode`` keeps ``fused=None``.  Phases that cannot be
+    lowered (no parity work, or a shape the pass does not model) also
+    keep ``fused=None``; :func:`compile_plan` refuses a program whose
+    parity phase stays unlowered.  Each lowered phase also carries the
+    reused-parity audits that stack as zero-residue families
+    (:func:`_residue_families`).
     """
     if type(program.code).encode is not ArrayCode.encode:
         return program
@@ -682,8 +697,8 @@ def reroute_failed_disk(fz: FusedPhase, disk: int, m: int, bpd: int) -> FusedPha
     shift by ``(c - disk) * bpd``, kind and stride step unchanged — and
     the phase's read credit on ``disk`` moves onto each row mate, which
     is what reconstruct-on-read counts.  A term with addresses both on
-    and off ``disk`` cannot be split this way: the result is None and
-    the caller keeps the per-block path.
+    and off ``disk`` cannot be split this way: the result is None, and
+    the phase runner refuses the phase.
     """
     lo, hi = disk * bpd, (disk + 1) * bpd
     shifts = [(c - disk) * bpd for c in range(m) if c != disk]

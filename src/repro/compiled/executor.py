@@ -1,42 +1,47 @@
 """Execute compiled conversion programs against a :class:`BlockArray`.
 
-The executor replays a :class:`CompiledPlan` phase by phase through the
-array's counted bulk-I/O API.  Parity work runs on one of two paths:
+:func:`run_phase` is the one phase runner: :func:`execute_compiled` and
+the crash-consistent runner (:mod:`repro.faults.checkpoint`) both call
+it.  Migrations, NULL writes and trims go through the array's counted
+bulk I/O API.  Parity work always runs the phase's
+:class:`~repro.compiled.program.FusedPhase`: its region ops XOR strided
+views of the block store directly into a reused scratch buffer through
+the selected :class:`~repro.kernels.base.XorKernel` backend — no stripe
+tensor, no gather-copy-scatter round trip.  Parity writes stay on the
+counted :meth:`BlockArray.write_blocks`.  Reused parities are audited
+as zero residues (:class:`~repro.compiled.program.ResidueFamily`): the
+chain's members XOR the stored parity in place, and a nonzero residue
+row is a bad location — no recomputed parity, no copy, no compare.
+Chains that do not stack into a family, or that another op references,
+keep the ``out[check_src]`` compare (``FusedPhase.compared``).
 
-* **fused** (default when available): the phase's
-  :class:`~repro.compiled.program.FusedPhase` region ops XOR strided
-  views of the block store directly into a reused scratch buffer through
-  the selected :class:`~repro.kernels.base.XorKernel` backend — no
-  stripe tensor, no gather-copy-scatter round trip.  Counted reads are
-  credited via :meth:`BlockArray.credit_ios` (the views bypass the
-  counted gather); parity writes stay on the counted
-  :meth:`BlockArray.write_blocks`.  Reused parities are audited as
-  zero residues (:class:`~repro.compiled.program.ResidueFamily`): the
-  chain's members XOR the stored parity in place, and a nonzero residue
-  row is a bad location — no recomputed parity, no copy, no compare.
-  Chains that do not stack into a family, or that another op
-  references, keep the ``out[check_src]`` compare
-  (``FusedPhase.compared``).
-* **stripe tensor** (fallback): two gathers into a ``(batch, rows, cols,
-  block)`` tensor, one batched :meth:`ArrayCode.encode`, one counted
-  scatter.  Used when a phase was not lowered, when a fault plane is
-  attached or disks have failed (fault hooks and degraded reads fire on
-  the counted entry points the fused path bypasses), or when the caller
-  forces it (``use_fused=False``, e.g. for benchmarking the baseline).
+The views bypass the counted read path, so the phase's reads are
+accounted one of two ways:
 
-The checkpointed runner (:mod:`repro.faults.checkpoint`) also runs
-*degraded* phases fused — one failed RAID-5 data disk, no fault plane —
-after rerouting the failed disk's operands to their row mates
-(:func:`~repro.compiled.compiler.reroute_failed_disk`) and passing an
-audit mask that skips that disk's check cells.  This executor never
-does: it cannot assume the row invariant the reroute relies on.
+* **credited** (no fault plane): :meth:`BlockArray.credit_ios` adds the
+  per-disk reads the audited engine performs;
+* **issued** (fault plane attached): the runner first performs the
+  phase's counted reads (``read_disk`` / ``read_block``) through
+  :meth:`BlockArray.read_blocks` or the reconstructing reader's
+  per-block fallback, so crash points, sector errors, transients, disk
+  failures and reconstruct counters fire on them.  The bytes are
+  discarded: the plane never alters them, and under the RAID-5 row
+  invariant a reconstructed block equals its store view.
 
-Both paths are byte-identical to the audited engine with identical
-per-disk counters (tested for every supported conversion); only the
-Python and memory-traffic overhead differs.  Each phase's
-``compiled.phase`` span names its route (``path``) and its audit
-(``audit``: ``residue`` when every check cell is a zero residue,
-``compare`` when any is compared, ``none`` without reused parities).
+The route is chosen after those reads, since a plane can fail a disk
+mid-read.  With a reconstructing reader and exactly one failed RAID-5
+data disk, the phase runs rerouted around it
+(:func:`~repro.compiled.compiler.reroute_failed_disk`), and its audit
+skips that disk's check cells.  Any other failed disk under a read
+operand raises the array's :class:`~repro.raid.array.DiskFailure`
+through the counted read.
+
+Results are byte-identical to the audited engine with identical
+per-disk counters (tested for every supported conversion).  Each
+phase's ``compiled.phase`` span names its route (``path``: ``fused``,
+or ``none`` for a phase without parity work) and its audit (``audit``:
+``residue`` when every check cell is a zero residue, ``compare`` when
+any is compared, ``none`` without reused parities).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import threading
 
 import numpy as np
 
-from repro.compiled.compiler import compile_plan
+from repro.compiled.compiler import UnsupportedPlanError, compile_plan, reroute_failed_disk
 from repro.compiled.program import CompiledPlan, FusedPhase, PhaseProgram
 from repro.kernels import XorKernel, resolve_kernel
 from repro.migration.engine import ConversionResult
@@ -54,14 +59,14 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.raid.array import BlockArray
 
-__all__ = ["execute_compiled", "execute_plan_compiled"]
+__all__ = ["run_phase", "execute_compiled", "execute_plan_compiled"]
 
 
 class _ScratchPool(threading.local):
     """Grow-only scratch backing for phase buffers, one per thread.
 
-    One flat uint8 allocation is reused for every phase's stripe tensor
-    or fused output and residue region (and across executor calls within
+    One flat uint8 allocation is reused for every phase's fused output
+    and residue region (and across executor calls within
     a thread), eliminating the per-phase large-allocation churn.
     ``take`` returns a shaped view of the pool — callers must be done
     with the previous view before taking the next (phases are
@@ -85,18 +90,6 @@ class _ScratchPool(threading.local):
 _SCRATCH = _ScratchPool()
 
 
-def _fused_usable(array: BlockArray) -> bool:
-    """Fused execution bypasses the counted read path, so it is only
-    sound when nothing observes that path: no fault plane (crash/tear
-    hooks fire on bulk reads) and no failed disks (counted reads raise
-    :class:`DiskFailure`; views would silently serve stale bytes).
-
-    This is the executor's own gate.  The checkpointed runner also fuses
-    phases with one failed data disk of a zero-movement plan, after
-    rerouting that disk's operands to their RAID-5 row mates."""
-    return array.fault_plane is None and not array.failed_disks
-
-
 #: per-chain destination-tile budget for the cross-op slot tiling below
 _SLOT_TILE_BYTES = 1 << 17
 
@@ -112,14 +105,11 @@ def _fused_rows(fz: FusedPhase, block_size: int) -> int:
     return fz.n_chains * fz.batch + widest * _slot_tile(fz.batch, block_size)
 
 
-def _audit_route(ph: PhaseProgram, fz: FusedPhase | None) -> str:
-    """``compiled.phase``'s ``audit`` attribute for ``ph`` run on ``fz``
-    (None: the stripe path)."""
+def _audit_route(ph: PhaseProgram, fz: FusedPhase) -> str:
+    """``compiled.phase``'s ``audit`` attribute for ``ph`` run on ``fz``."""
     if not ph.check_disk.size:
         return "none"
-    if fz is not None and not fz.compared.any():
-        return "residue"
-    return "compare"
+    return "compare" if fz.compared.any() else "residue"
 
 
 def _nonzero_rows(rows: np.ndarray) -> int:
@@ -130,26 +120,19 @@ def _nonzero_rows(rows: np.ndarray) -> int:
     return int(np.count_nonzero(words.any(axis=1)))
 
 
-def _raise_invalid_parity(ph: PhaseProgram, locations: int) -> None:
-    raise AssertionError(
-        f"pre-existing parity at {locations} location(s) of phase "
-        f"{ph.phase} does not match the recomputed value — old "
-        "parity was not valid"
-    )
-
-
 def _run_phase_fused(
-    program: CompiledPlan,
     ph: PhaseProgram,
     fz: FusedPhase,
     array: BlockArray,
     kernel: XorKernel,
-    audit: np.ndarray | slice = slice(None),
+    audit: np.ndarray | slice,
+    credit: bool,
 ) -> None:
     """Run ``fz``; ``audit`` narrows ``fz.compared``, the reused-parity
-    check cells to compare (a degraded caller skips the cells on its
+    check cells to compare (a degraded phase skips the cells on its
     failed disk, whose bytes are not the true ones; its rerouted phase
-    has no residue families)."""
+    has no residue families).  ``credit`` adds ``fz.read_credit`` to the
+    array's counters — False when the caller issued the reads itself."""
     bs = array.block_size
     batch = fz.batch
     store = array.bulk_view(slice(None), slice(None)).reshape(-1, bs)
@@ -197,9 +180,10 @@ def _run_phase_fused(
             xor_bytes += len(fam.terms) * dst.nbytes
             bad += _nonzero_rows(dst)
 
-    # the views above replaced the counted stripe gather; credit the
-    # identical per-disk read traffic (duplicates and all)
-    array.credit_ios(reads=fz.read_credit)
+    if credit:
+        # the views above replaced the counted reads; credit the
+        # identical per-disk read traffic (duplicates and all)
+        array.credit_ios(reads=fz.read_credit)
     if ph.parity_disk.size:
         array.write_blocks(ph.parity_disk, ph.parity_block, out[fz.parity_src])
     compared = fz.compared if isinstance(audit, slice) else fz.compared & audit
@@ -209,7 +193,10 @@ def _run_phase_fused(
         if not np.array_equal(expect, actual):
             bad += int(np.count_nonzero((expect != actual).any(axis=1)))
     if bad:
-        _raise_invalid_parity(ph, bad)
+        raise AssertionError(
+            f"pre-existing parity at {bad} location(s) of phase {ph.phase} does "
+            "not match the recomputed value — old parity was not valid"
+        )
 
     registry = get_registry()
     if registry.enabled:
@@ -220,66 +207,83 @@ def _run_phase_fused(
         registry.counter("kernels.xor_bytes", kernel=kernel.name).inc(xor_bytes)
 
 
-def _run_phase(
-    program: CompiledPlan,
-    ph: PhaseProgram,
-    array: BlockArray,
-    kernel: XorKernel | None = None,
-    use_fused: bool = True,
-) -> None:
-    code = program.code
-    # 1. migrations: bulk read → bulk write (counted, queue order)
-    if ph.migrate_src_disk.size:
-        payload = array.read_blocks(ph.migrate_src_disk, ph.migrate_src_block)
-        array.write_blocks(ph.migrate_dst_disk, ph.migrate_dst_block, payload)
-    # 2. NULL invalidation writes
-    if ph.null_disk.size:
-        array.write_zero_blocks(ph.null_disk, ph.null_block)
-    # 3. metadata trims (uncounted)
-    if ph.trim_disk.size:
-        array.trim_blocks(ph.trim_disk, ph.trim_block)
-    if ph.batch == 0:
-        return  # pure degrade phase: nothing to generate
-    if use_fused and ph.fused is not None and _fused_usable(array):
-        if kernel is None:
-            kernel = resolve_kernel()
-        _run_phase_fused(program, ph, ph.fused, array, kernel)
-        return
-    # 4. assemble the batched stripe tensor
-    stripes = _SCRATCH.take((ph.batch, code.rows, code.cols, array.block_size))
-    stripes[...] = 0
-    flat = stripes.reshape(-1, array.block_size)
-    if ph.read_disk.size:
-        flat[ph.read_cell] = array.read_blocks(ph.read_disk, ph.read_block)
-    if ph.fill_disk.size:
-        flat[ph.fill_cell] = array.gather_raw(ph.fill_disk, ph.fill_block)
-    # 5. one batched encode for every group of the phase
-    code.encode(stripes)
-    # 6. scatter the generated parities
-    if ph.parity_disk.size:
-        array.write_blocks(ph.parity_disk, ph.parity_block, flat[ph.parity_cell])
-    # 7. audit reused parities against the recomputed values (engine step 7)
-    if ph.check_disk.size:
-        actual = array.gather_raw(ph.check_disk, ph.check_block)
-        if not np.array_equal(flat[ph.check_cell], actual):
-            _raise_invalid_parity(
-                ph, int(np.count_nonzero((flat[ph.check_cell] != actual).any(axis=1)))
-            )
+def _route(ph: PhaseProgram, array: BlockArray, reader) -> FusedPhase | None:
+    """The fused phase to run for ``ph`` on ``array``, or None when a
+    failed disk is not one ``reader`` can route around (one RAID-5 data
+    disk of a plan whose row invariant holds)."""
+    failed = array.failed_disks
+    if not failed:
+        return ph.fused
+    if reader is None or not reader.allow or len(failed) > 1 or min(failed) >= reader.m:
+        return None
+    (disk,) = failed
+    fz = reroute_failed_disk(ph.fused, disk, reader.m, array.blocks_per_disk)
+    if fz is None:
+        raise UnsupportedPlanError(
+            f"phase {ph.phase} has an operand straddling failed disk {disk}; "
+            "convert with the audited engine"
+        )
+    return fz
+
+
+def run_phase(ph: PhaseProgram, array: BlockArray, kernel: XorKernel, reader=None) -> None:
+    """Run one compiled phase on ``array`` (counters accumulate).
+
+    ``reader`` is a :class:`~repro.faults.degraded.ReconstructingReader`
+    or None.  With one, counted reads that fault fall back to per-block
+    row reconstruction, and a phase with one failed RAID-5 data disk
+    runs rerouted around it.  Without one, every fault propagates.
+    """
+    read = array.read_blocks if reader is None else reader.read_blocks
+    with get_tracer().span(
+        f"phase{ph.phase}", cat="compiled.phase", phase=ph.phase, batch=ph.batch,
+        migrates=int(ph.migrate_src_disk.size), nulls=int(ph.null_disk.size),
+        parities=int(ph.parity_disk.size), path="fused" if ph.batch else "none",
+        kernel=kernel.name if ph.batch else "", degraded=bool(array.failed_disks),
+    ) as span:
+        # migrations: bulk read -> bulk write (counted, queue order)
+        if ph.migrate_src_disk.size:
+            payload = read(ph.migrate_src_disk, ph.migrate_src_block)
+            array.write_blocks(ph.migrate_dst_disk, ph.migrate_dst_block, payload)
+        if ph.null_disk.size:
+            array.write_zero_blocks(ph.null_disk, ph.null_block)
+        if ph.trim_disk.size:  # metadata trims (uncounted)
+            array.trim_blocks(ph.trim_disk, ph.trim_block)
+        if ph.batch == 0:
+            span.set(audit="none")
+            return  # pure degrade phase: nothing to generate
+        issued = array.fault_plane is not None
+        if issued:
+            read(ph.read_disk, ph.read_block)  # the plane observes these
+        fz = _route(ph, array, reader)
+        if fz is None:
+            # a failed disk nothing routes around: its counted read
+            # raises, and so does a fill the reader cannot rebuild
+            if not issued:
+                read(ph.read_disk, ph.read_block)
+                issued = True
+            if reader is not None:
+                down = np.isin(ph.fill_disk, sorted(array.failed_disks))
+                for disk, block in zip(ph.fill_disk[down], ph.fill_block[down]):
+                    reader.peek(int(disk), int(block))
+            fz = ph.fused
+        audit: np.ndarray | slice = slice(None)
+        if reader is not None and array.failed_disks:
+            audit = ~np.isin(ph.check_disk, sorted(array.failed_disks))
+        span.set(audit=_audit_route(ph, fz))
+        _run_phase_fused(ph, fz, array, kernel, audit, credit=not issued)
 
 
 def execute_compiled(
     program: CompiledPlan,
     array: BlockArray,
     kernel: XorKernel | str | None = None,
-    use_fused: bool = True,
 ) -> None:
     """Run every phase of ``program`` on ``array`` (counters accumulate).
 
-    ``kernel`` selects the XOR backend for fused phases — an
-    :class:`XorKernel` instance, a registry name (``"numpy"``,
-    ``"numba"``, ``"auto"``), or None for the process default.
-    ``use_fused=False`` forces the stripe-tensor path (the pre-fusion
-    baseline, kept for benchmarking and as the fault-path engine).
+    ``kernel`` selects the XOR backend — an :class:`XorKernel` instance,
+    a registry name (``"numpy"``, ``"numba"``, ``"auto"``), or None for
+    the process default.
     """
     if (array.n_disks, array.blocks_per_disk) != (program.n_disks, program.blocks_per_disk):
         raise ValueError(
@@ -288,30 +292,14 @@ def execute_compiled(
         )
     if not isinstance(kernel, XorKernel):
         kernel = resolve_kernel(kernel)
-    fused_ok = use_fused and _fused_usable(array)
     # size the scratch pool once for the largest phase, so no phase
     # allocates (satellite: no per-op temporary churn)
-    need = 0
+    bs = array.block_size
+    _SCRATCH.reserve(
+        max((_fused_rows(ph.fused, bs) * bs for ph in program.phases if ph.batch), default=0)
+    )
     for ph in program.phases:
-        if ph.batch == 0:
-            continue
-        if fused_ok and ph.fused is not None:
-            need = max(need, _fused_rows(ph.fused, array.block_size) * array.block_size)
-        else:
-            need = max(need, ph.batch * program.rows * program.cols * array.block_size)
-    _SCRATCH.reserve(need)
-    tracer = get_tracer()
-    for ph in program.phases:
-        fused = fused_ok and ph.fused is not None
-        with tracer.span(
-            f"phase{ph.phase}", cat="compiled.phase", phase=ph.phase, batch=ph.batch,
-            migrates=int(ph.migrate_src_disk.size), nulls=int(ph.null_disk.size),
-            parities=int(ph.parity_disk.size),
-            path="fused" if fused else "stripe",
-            kernel=kernel.name if fused else "",
-            audit=_audit_route(ph, ph.fused if fused else None),
-        ):
-            _run_phase(program, ph, array, kernel=kernel, use_fused=use_fused)
+        run_phase(ph, array, kernel)
 
 
 def execute_plan_compiled(
@@ -320,14 +308,13 @@ def execute_plan_compiled(
     data: np.ndarray,
     program: CompiledPlan | None = None,
     kernel: XorKernel | str | None = None,
-    use_fused: bool = True,
 ) -> ConversionResult:
     """Drop-in replacement for :func:`repro.migration.execute_plan`.
 
     Compiles ``plan`` (cached across calls) and executes it in bulk;
     raises :class:`~repro.compiled.compiler.UnsupportedPlanError` when
     the plan cannot be batched faithfully — fall back to the audited
-    engine in that case.  ``kernel`` / ``use_fused`` are forwarded to
+    engine in that case.  ``kernel`` is forwarded to
     :func:`execute_compiled`.
     """
     tracer = get_tracer()
@@ -342,7 +329,7 @@ def execute_plan_compiled(
         "execute", cat="compiled", engine="compiled", code=plan.code.name,
         approach=plan.approach, groups=plan.groups,
     ):
-        execute_compiled(program, array, kernel=kernel, use_fused=use_fused)
+        execute_compiled(program, array, kernel=kernel)
     return ConversionResult(
         array=array,
         plan=plan,

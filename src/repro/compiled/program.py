@@ -3,13 +3,16 @@
 A :class:`CompiledPlan` is a :class:`~repro.migration.plan.ConversionPlan`
 lowered to flat numpy index vectors: per phase, the counted migrations,
 NULL writes and trims become gather/scatter index pairs, and every
-stripe-group that generates parity contributes rows to one batched
-``(groups, rows, cols, block)`` stripe tensor that is filled by two
-gathers (counted reads, uncounted controller-memory pulls), encoded with
-one batched :meth:`ArrayCode.encode`, and scattered back with one counted
-bulk write.  Executing the program performs *exactly* the audited
-engine's I/O — same bytes, same per-disk counters — without any
-per-block Python.
+stripe-group that generates parity contributes one slot to a batched
+``(groups, rows, cols, block)`` stripe-cell space.  The ``*_cell``
+vectors say which block (counted read or uncounted controller-memory
+fill) sources each cell, which cells are written parities and which are
+audited reused parities.  That stripe IR is what the lowering pass
+(:func:`repro.compiled.compiler.lower_program`) and the SC-D006 check
+consume; execution runs only its lowering, one :class:`FusedPhase` of
+region reductions per parity phase.  Executing the program performs
+*exactly* the audited engine's I/O — same bytes, same per-disk
+counters — without any per-block Python.
 """
 
 from __future__ import annotations
@@ -121,9 +124,8 @@ class FusedPhase:
     ``parity_src`` / ``check_src`` map the program's ``parity_*`` /
     ``check_*`` vectors (same order) to rows of the ``(n_chains * batch,
     block)`` scratch buffer; ``read_credit`` is the per-disk read count
-    the classic path would have performed with
-    :meth:`~repro.raid.array.BlockArray.read_blocks` (the fused path
-    views the store in place and credits the same I/O).
+    of the phase's counted reads (``read_disk``), which the fused path
+    credits instead of performing (it views the store in place).
 
     ``ops`` holds every chain, but the executor skips the chains a
     ``residue`` family audits: their check cells are verified as zero
@@ -153,13 +155,13 @@ class PhaseProgram:
     """One conversion phase as flat index vectors.
 
     ``*_disk`` / ``*_block`` address the :class:`BlockArray`;
-    ``*_cell`` are flat indices into the phase's batched stripe tensor
+    ``*_cell`` are flat indices into the phase's batched stripe cells
     (``slot * rows * cols + row * cols + col``).  All vectors of one
     category have equal length.
     """
 
     phase: int
-    #: groups that generate parity this phase (batch size of the stripe tensor)
+    #: groups that generate parity this phase (slots of the stripe cells)
     batch: int
     # counted migrations: gather sources, scatter destinations (payload copy)
     migrate_src_disk: np.ndarray = field(default_factory=_empty)
@@ -172,7 +174,7 @@ class PhaseProgram:
     # uncounted metadata trims
     trim_disk: np.ndarray = field(default_factory=_empty)
     trim_block: np.ndarray = field(default_factory=_empty)
-    # counted reads feeding the stripe tensor
+    # counted reads sourcing stripe cells
     read_disk: np.ndarray = field(default_factory=_empty)
     read_block: np.ndarray = field(default_factory=_empty)
     read_cell: np.ndarray = field(default_factory=_empty)
@@ -188,9 +190,9 @@ class PhaseProgram:
     check_disk: np.ndarray = field(default_factory=_empty)
     check_block: np.ndarray = field(default_factory=_empty)
     check_cell: np.ndarray = field(default_factory=_empty)
-    #: kernel-backend lowering of the parity work (None: not lowered —
-    #: executor uses the stripe-tensor path); derived from the vectors
-    #: above, so it is never serialised, always recomputed
+    #: kernel-backend lowering of the parity work (None only for a phase
+    #: with no parity work); derived from the vectors above, so it is
+    #: never serialised, always recomputed
     fused: FusedPhase | None = None
 
 

@@ -21,23 +21,16 @@ final array (the crash-sweep tests enumerate every boundary).
 
 Degraded mode rides the same path.  Degraded conversion needs a
 zero-movement plan (direct Code 5-6); anything else is refused.  A
-compiled phase then takes one of two routes:
-
-* **fused** — no fault plane attached and exactly one failed RAID-5
-  data disk: the executor's fused kernel path, with every operand on
-  the failed disk rebuilt from its row mates
-  (:func:`~repro.compiled.compiler.reroute_failed_disk`) and the same
-  per-disk read counts the per-block route produces;
-* **per-block** — an attached fault plane (crash sweeps, chaos runs,
-  fleet volumes), two failed disks, or an operand the reroute cannot
-  split: reads go through a
-  :class:`~repro.faults.degraded.ReconstructingReader`, which turns
-  disk failures and read faults into RAID-5 row reconstructions.
-
-Audited units always take the per-block route.  Each compiled phase
-emits a ``compiled.phase`` span whose ``path`` names the route taken
-and whose ``audit`` names how reused parities were checked (a healthy
-fused phase audits zero residues; a rerouted degraded one compares).
+compiled phase runs on the executor's one phase runner
+(:func:`repro.compiled.executor.run_phase`) with a
+:class:`~repro.faults.degraded.ReconstructingReader`: its counted reads
+fall back to per-block RAID-5 row reconstruction when they fault, and
+the phase's parity work runs fused, rerouted around one failed data
+disk (:func:`~repro.compiled.compiler.reroute_failed_disk`).  Audited
+units read through the same reader.  Each compiled phase emits a
+``compiled.phase`` span whose ``audit`` names how reused parities were
+checked (a healthy phase audits zero residues; a rerouted degraded one
+compares).
 """
 
 from __future__ import annotations
@@ -48,13 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.degraded import ReconstructingReader, plan_is_zero_movement
-from repro.faults.errors import ConversionCrash, ReadFaultError, TransientIOError
+from repro.faults.errors import ConversionCrash
 from repro.faults.journal import ConversionJournal
 from repro.faults.plane import FaultPlane
 from repro.faults.spec import FaultScenario
 from repro.migration.engine import ConversionResult, _execute_group
 from repro.migration.plan import ConversionPlan
-from repro.raid.array import BlockArray, DiskFailure
+from repro.raid.array import BlockArray
 
 __all__ = [
     "CheckpointedRun",
@@ -62,8 +55,6 @@ __all__ = [
     "run_to_completion",
     "count_crash_events",
 ]
-
-_RECOVERABLE = (DiskFailure, ReadFaultError, TransientIOError)
 
 
 @dataclass
@@ -123,132 +114,6 @@ def _compiled_units(program):
     return units
 
 
-# ---------------------------------------------------- compiled phase (shadow)
-def _bulk_read_recovering(
-    array: BlockArray, reader: ReconstructingReader, disks, blocks
-) -> np.ndarray:
-    """One counted bulk read; falls back to per-block reconstruction.
-
-    The healthy path is the executor's single gather (identical
-    counters); only when the bulk admission faults — a failed disk, a
-    sector error, an exhausted transient — does it degrade to per-block
-    reads through the reconstructing reader.
-    """
-    if disks.size == 0:
-        return np.zeros((0, array.block_size), dtype=np.uint8)
-    try:
-        return array.read_blocks(disks, blocks)
-    except _RECOVERABLE:
-        out = np.empty((disks.size, array.block_size), dtype=np.uint8)
-        for i in range(disks.size):
-            out[i] = reader.read(int(disks[i]), int(blocks[i]))
-        return out
-
-
-def _gather_peek(array: BlockArray, reader: ReconstructingReader, disks, blocks) -> np.ndarray:
-    """Uncounted gather with reconstruction for failed-disk elements."""
-    if not array.failed_disks:
-        return array.gather_raw(disks, blocks)
-    out = np.array(array.gather_raw(disks, blocks), copy=True)
-    for i in np.flatnonzero(np.isin(disks, sorted(array.failed_disks))):
-        out[i] = reader.peek(int(disks[i]), int(blocks[i]))
-    return out
-
-
-def _fused_route(ph, array: BlockArray, reader: ReconstructingReader):
-    """The fused phase to run for ``ph``, or None for the per-block path.
-
-    Fused execution views the store instead of reading through the
-    counted path, so it runs only when nothing observes that path (no
-    fault plane) and every byte it views is a true one: a healthy array,
-    or exactly one failed RAID-5 data disk whose operands
-    :func:`~repro.compiled.compiler.reroute_failed_disk` rebuilds from
-    their row mates.  Everything else keeps the per-block path.
-    """
-    from repro.compiled.compiler import reroute_failed_disk
-
-    fz = ph.fused
-    if fz is None or array.fault_plane is not None:
-        return None
-    failed = array.failed_disks
-    if not failed:
-        return fz
-    if len(failed) != 1 or not reader.allow:
-        return None
-    (disk,) = failed
-    if disk >= reader.m:
-        return None
-    return reroute_failed_disk(fz, disk, reader.m, array.blocks_per_disk)
-
-
-def _auditable(ph, array: BlockArray) -> np.ndarray | slice:
-    """The reused-parity check cells whose bytes can be trusted — a
-    failed disk's cells are skipped, not compared."""
-    if not array.failed_disks:
-        return slice(None)
-    return ~np.isin(ph.check_disk, sorted(array.failed_disks))
-
-
-def _run_phase_checkpointed(program, ph, array: BlockArray, reader) -> None:
-    """The compiled executor's phase, with degraded/fault fallbacks.
-
-    Mirrors :func:`repro.compiled.executor._run_phase` bulk for bulk (so
-    healthy runs land on identical bytes and counters) but lives here —
-    outside the hot-path modules — because its recovery fallbacks are
-    per-block by nature.  Parity work goes to the executor's fused
-    kernel path when :func:`_fused_route` allows it, else to the shadow
-    stripe-tensor path below, whose per-block fallbacks the recovery
-    machinery needs.  Both paths emit the executor's ``compiled.phase``
-    span, so a trace shows the route.
-    """
-    from repro.compiled import executor as _executor
-    from repro.obs.tracer import get_tracer
-
-    fused = _fused_route(ph, array, reader)
-    kernel = _executor.resolve_kernel() if fused is not None else None
-    with get_tracer().span(
-        f"phase{ph.phase}", cat="compiled.phase", phase=ph.phase, batch=ph.batch,
-        migrates=int(ph.migrate_src_disk.size), nulls=int(ph.null_disk.size),
-        parities=int(ph.parity_disk.size),
-        path="fused" if fused is not None else "stripe",
-        kernel=kernel.name if kernel is not None else "",
-        audit=_executor._audit_route(ph, fused),
-        degraded=bool(array.failed_disks),
-    ):
-        code = program.code
-        if ph.migrate_src_disk.size:
-            payload = _bulk_read_recovering(
-                array, reader, ph.migrate_src_disk, ph.migrate_src_block
-            )
-            array.write_blocks(ph.migrate_dst_disk, ph.migrate_dst_block, payload)
-        if ph.null_disk.size:
-            array.write_zero_blocks(ph.null_disk, ph.null_block)
-        if ph.trim_disk.size:
-            array.trim_blocks(ph.trim_disk, ph.trim_block)
-        if ph.batch == 0:
-            return
-        audit = _auditable(ph, array)
-        if fused is not None:
-            _executor._run_phase_fused(program, ph, fused, array, kernel, audit=audit)
-            return
-        stripes = np.zeros((ph.batch, code.rows, code.cols, array.block_size), dtype=np.uint8)
-        flat = stripes.reshape(-1, array.block_size)
-        if ph.read_disk.size:
-            flat[ph.read_cell] = _bulk_read_recovering(array, reader, ph.read_disk, ph.read_block)
-        if ph.fill_disk.size:
-            flat[ph.fill_cell] = _gather_peek(array, reader, ph.fill_disk, ph.fill_block)
-        code.encode(stripes)
-        if ph.parity_disk.size:
-            array.write_blocks(ph.parity_disk, ph.parity_block, flat[ph.parity_cell])
-        if ph.check_disk.size:
-            actual = array.gather_raw(ph.check_disk[audit], ph.check_block[audit])
-            expect = flat[ph.check_cell[audit]]
-            if not np.array_equal(expect, actual):
-                _executor._raise_invalid_parity(
-                    ph, int(np.count_nonzero((expect != actual).any(axis=1)))
-                )
-
-
 # ------------------------------------------------------------------ executor
 def execute_checkpointed(
     plan: ConversionPlan,
@@ -290,11 +155,14 @@ def execute_checkpointed(
     if journal is None:
         journal = ConversionJournal()
     if engine == "compiled":
-        if program is None:
-            from repro.compiled.compiler import compile_plan
+        from repro.compiled.compiler import compile_plan
+        from repro.compiled.executor import run_phase
+        from repro.kernels import resolve_kernel
 
+        if program is None:
             program = compile_plan(plan)
         units = _compiled_units(program)
+        kernel = resolve_kernel()
     else:
         units = _audited_units(plan)
     reader = ReconstructingReader(
@@ -332,7 +200,7 @@ def execute_checkpointed(
             if plane is not None:
                 plane.crash_point(f"begin:{key}")
             if engine == "compiled":
-                _run_phase_checkpointed(program, work, array, reader)
+                run_phase(work, array, kernel, reader)
             else:
                 _execute_group(plan, work, array, io=reader)
             if plane is not None:

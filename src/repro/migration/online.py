@@ -86,7 +86,7 @@ import numpy as np
 
 from repro.codes.code56 import diagonal_chain_cells
 from repro.codes.registry import get_code
-from repro.faults.errors import ReadFaultError, TransientIOError
+from repro.faults.degraded import ReconstructingReader
 from repro.faults.events import DiskFailureEvent
 from repro.kernels import XorKernel, resolve_kernel
 from repro.migration.batch import RunProgram, fused_run_usable
@@ -100,9 +100,6 @@ __all__ = [
     "OnlineReport",
     "OnlineCode56Conversion",
 ]
-
-#: read faults the conversion hides by reconstructing through the RAID-5 row
-_RECOVERABLE_READS = (ReadFaultError, TransientIOError)
 
 
 @dataclass(frozen=True)
@@ -206,6 +203,7 @@ class OnlineCode56Conversion:
         #: not yet marked (None = idle)
         self._run: np.ndarray | None = None
         self._program = RunProgram(array, p, self.kernel)
+        self._reader = ReconstructingReader(array, self.m)
         self.journal = journal
         #: completed events — a resume harness slices its event lists by
         #: these (app serves are never crash-interrupted, so every event
@@ -562,33 +560,16 @@ class OnlineCode56Conversion:
     def _read_block(self, disk: int, block: int, report: OnlineReport) -> tuple[np.ndarray, int]:
         """Read a square-column block, reconstructing if its disk failed.
 
-        Degraded path: XOR the other ``m-1`` blocks of the RAID-5 stripe
-        (data plus old parity) — costs ``m-1`` reads instead of 1.  The
-        same recovery hides latent sector errors and exhausted transient
-        faults surfaced by the fault plane; blocks on the hot-added disk
-        (``disk >= m``) have no covering row and re-raise.
+        Degraded path (:class:`ReconstructingReader`): XOR the other
+        ``m-1`` blocks of the RAID-5 stripe (data plus old parity) —
+        costs ``m-1`` reads instead of 1.  The same recovery hides a
+        disk failing mid-read, latent sector errors and exhausted
+        transient faults surfaced by the fault plane; blocks on the
+        hot-added disk (``disk >= m``) have no covering row and re-raise.
         """
-        if disk not in self.array.failed_disks:
-            try:
-                return self.array.read(disk, block), 1
-            except _RECOVERABLE_READS:
-                if disk >= self.m:
-                    raise
-        elif disk >= self.m:
-            return self.array.read(disk, block), 1  # propagates DiskFailure
-        acc = np.zeros(self.array.block_size, dtype=np.uint8)
-        ios = 0
-        for d in range(self.m):
-            if d == disk:
-                continue
-            np.bitwise_xor(acc, self.array.read(d, block), out=acc)
-            ios += 1
+        value, ios = self._reader.read_cost(disk, block)
         report.degraded_reads += ios - 1
-        plane = self.array.fault_plane
-        if plane is not None:
-            plane.counters["reconstructed_blocks"] += 1
-            plane.counters["degraded_reads"] += ios - 1
-        return acc, ios
+        return value, ios
 
     def _generate_parity(self, group: int, parity_row: int, report: OnlineReport) -> int:
         chain = self._diag_chain(parity_row)

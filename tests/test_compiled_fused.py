@@ -5,8 +5,9 @@ the executor as a whole) and ``test_kernels.py`` (identity per backend):
 this file pins down the machinery the fused path adds — when the
 lowering pass produces region ops and when it must refuse, that the
 executor's preallocated scratch is actually reused instead of churned,
-that fused execution steps aside for fault planes / failed disks /
-``use_fused=False``, that the obs bridge records kernel-labelled
+that fused execution also serves fault-planed arrays (issuing the counted
+reads the plane observes) and raises on failed disks like the audited
+engine, that the obs bridge records kernel-labelled
 counters with zero I/O drift, and that degraded and crash/resume
 conversions from :mod:`repro.faults` stay byte-identical while fused
 selection is active.
@@ -20,7 +21,6 @@ import pytest
 from repro.codes.base import ArrayCode
 from repro.compiled import (
     compile_plan,
-    execute_compiled,
     execute_plan_compiled,
     lower_program,
 )
@@ -30,6 +30,7 @@ from repro.migration import (
     build_plan,
     execute_plan,
     prepare_source_array,
+    supported_conversions,
     verify_conversion,
 )
 from repro.migration.approaches import alignment_cycle
@@ -189,19 +190,7 @@ class TestFallbacks:
         execute_plan_compiled(plan, array, data)
         assert spy.calls > 0
 
-    def test_use_fused_false_forces_stripe_path(self, monkeypatch):
-        plan = _cycle_plan("code56", "direct", 5)
-        ref, data = self._arrays(plan)
-        execute_plan(plan, ref, data)
-        array, _ = self._arrays(plan)
-        spy = _FusedSpy(monkeypatch)
-        result = execute_plan_compiled(plan, array, data, use_fused=False)
-        assert spy.calls == 0
-        assert np.array_equal(ref.snapshot(), array.snapshot())
-        assert np.array_equal(ref.reads, array.reads)
-        assert verify_conversion(result)
-
-    def test_fault_plane_disables_fused(self, monkeypatch):
+    def test_fault_plane_runs_fused(self, monkeypatch):
         from repro.faults import FaultPlane, FaultScenario
 
         plan = _cycle_plan("code56", "direct", 5)
@@ -211,18 +200,43 @@ class TestFallbacks:
         spy = _FusedSpy(monkeypatch)
         result = execute_plan_compiled(plan, array, data)
         plane.detach()
-        assert spy.calls == 0  # hooks observe the counted path; honour them
+        assert spy.calls == len(compile_plan(plan).phases)
+        assert plane.snapshot()["ops_seen"] > 0  # the counted reads were issued
         assert verify_conversion(result)
 
-    def test_failed_disk_disables_fused(self, monkeypatch):
-        program = compile_plan(_cycle_plan("code56", "direct", 5), use_cache=False)
+    def test_failed_disk_raises_like_audited(self, monkeypatch):
+        from repro.raid.array import DiskFailure
+
         plan = _cycle_plan("code56", "direct", 5)
-        array, _data = self._arrays(plan)
-        array.fail_disk(1)
-        assert not executor_mod._fused_usable(array)
-        array2, _ = self._arrays(plan)
-        assert executor_mod._fused_usable(array2)
-        del program
+        for run in (execute_plan, execute_plan_compiled):
+            array, data = self._arrays(plan)
+            array.fail_disk(1)
+            spy = _FusedSpy(monkeypatch)
+            with pytest.raises(DiskFailure):
+                run(plan, array, data)
+            assert spy.calls == 0
+
+    @pytest.mark.parametrize("code, approach", supported_conversions())
+    def test_quiet_plane_matches_audited(self, code, approach):
+        """With a quiet plane attached the executor issues the phase's
+        counted reads for the plane to observe: bytes, counters and the
+        plane's op count equal the audited engine's."""
+        from repro.faults import FaultPlane, FaultScenario
+
+        plan = _cycle_plan(code, approach, 5)
+        outcomes = []
+        for run in (execute_plan, execute_plan_compiled):
+            array, data = self._arrays(plan, block_size=8)
+            plane = FaultPlane(FaultScenario())
+            plane.attach(array)
+            run(plan, array, data)
+            plane.detach()
+            outcomes.append((array, plane.snapshot()["ops_seen"]))
+        (ref, ref_ops), (array, ops) = outcomes
+        assert np.array_equal(ref.snapshot(), array.snapshot())
+        assert np.array_equal(ref.reads, array.reads)
+        assert np.array_equal(ref.writes, array.writes)
+        assert ops == ref_ops > 0
 
 
 class TestObsBridge:

@@ -4,8 +4,8 @@ The fused executor audits a reused parity by XOR-ing its chain's members
 with the stored parity block: a valid parity leaves a zero residue row.
 These tests pin the lowering (which chains join a stacked family, which
 keep the ``out[check_src]`` compare), the
-failure path against the stripe path and the audited engine — same
-location count, same bytes and counters at the raise — the route named
+failure path against a stripe-tensor reference and the audited engine —
+same location count, same bytes and counters at the raise — the route named
 in the ``compiled.phase`` span, and that concurrent conversions on two
 threads never share scratch.
 """
@@ -18,7 +18,7 @@ import pytest
 
 from repro.compiled import compile_plan, execute_plan_compiled, reroute_failed_disk
 from repro.compiled import executor as executor_mod
-from repro.faults import execute_checkpointed
+from repro.faults import FaultPlane, FaultScenario, execute_checkpointed
 from repro.kernels import available_kernels
 from repro.migration import build_plan, execute_plan, prepare_source_array
 from repro.obs.tracer import Tracer, set_tracer
@@ -125,8 +125,38 @@ def _corruptions(program, kind: str, chain: int | None = None) -> list[int]:
     return [_source_block(program, ph, flat)]
 
 
+def _stripe_reference(plan, array) -> None:
+    """Test-local reference executor: each phase's read and fill cells
+    gathered into the stripe tensor, one ``code.encode``, the parities
+    written, then every check cell compared."""
+    program = compile_plan(plan)
+    code = program.code
+    for ph in program.phases:
+        if ph.migrate_src_disk.size:
+            payload = array.read_blocks(ph.migrate_src_disk, ph.migrate_src_block)
+            array.write_blocks(ph.migrate_dst_disk, ph.migrate_dst_block, payload)
+        if ph.null_disk.size:
+            array.write_zero_blocks(ph.null_disk, ph.null_block)
+        if ph.trim_disk.size:
+            array.trim_blocks(ph.trim_disk, ph.trim_block)
+        if ph.batch == 0:
+            continue
+        stripes = np.zeros((ph.batch, code.rows, code.cols, array.block_size), dtype=np.uint8)
+        flat = stripes.reshape(-1, array.block_size)
+        flat[ph.read_cell] = array.read_blocks(ph.read_disk, ph.read_block)
+        flat[ph.fill_cell] = array.gather_raw(ph.fill_disk, ph.fill_block)
+        code.encode(stripes)
+        array.write_blocks(ph.parity_disk, ph.parity_block, flat[ph.parity_cell])
+        bad = (flat[ph.check_cell] != array.gather_raw(ph.check_disk, ph.check_block)).any(axis=1)
+        if bad.any():
+            raise AssertionError(
+                f"pre-existing parity at {int(bad.sum())} location(s) of phase "
+                f"{ph.phase} — old parity was not valid"
+            )
+
+
 def _run_all(plan, flips, kernel):
-    """(fused, stripe, audited) outcomes from the same corrupted source."""
+    """(fused, stripe reference, audited) outcomes from the same corrupted source."""
     outcomes = []
     for engine in ("fused", "stripe", "audited"):
         array, data = _source(plan)
@@ -135,10 +165,10 @@ def _run_all(plan, flips, kernel):
         with pytest.raises(AssertionError, match="old parity was not valid") as exc:
             if engine == "audited":
                 execute_plan(plan, array, data)
+            elif engine == "stripe":
+                _stripe_reference(plan, array)
             else:
-                execute_plan_compiled(
-                    plan, array, data, kernel=kernel, use_fused=engine == "fused"
-                )
+                execute_plan_compiled(plan, array, data, kernel=kernel)
         outcomes.append((exc.value, array))
     return outcomes
 
@@ -211,18 +241,21 @@ def _phase_audits(run) -> list[str]:
 
 class TestTrace:
     @pytest.mark.parametrize(
-        "code, approach, use_fused, audits",
+        "code, approach, bare, audits",
         [
             ("code56", "direct", True, ["residue"]),
-            ("code56", "direct", False, ["compare"]),
+            ("code56", "direct", False, ["residue"]),
             ("hcode", "via-raid4", True, ["none", "compare"]),
             ("rdp", "via-raid4", True, ["none", "compare"]),
         ],
     )
-    def test_executor_span_names_the_audit(self, code, approach, use_fused, audits):
+    def test_executor_span_names_the_audit(self, code, approach, bare, audits):
+        """``bare``: no fault plane; a quiet plane keeps the audit route."""
         plan = build_plan(code, approach, 5, groups=4)
         array, data = prepare_source_array(plan, np.random.default_rng(0), block_size=16)
-        run = lambda: execute_plan_compiled(plan, array, data, use_fused=use_fused)  # noqa: E731
+        if not bare:
+            FaultPlane(FaultScenario()).attach(array)
+        run = lambda: execute_plan_compiled(plan, array, data)  # noqa: E731
         assert _phase_audits(run) == audits
 
     @pytest.mark.parametrize("failed, audit", [((), "residue"), ((1,), "compare")])

@@ -146,3 +146,25 @@ class TestReconstructingReader:
         reader = ReconstructingReader(array, m=4)
         assert not reader.check_ok(1)
         assert reader.check_ok(0)
+
+    def test_peek_refuses_a_second_failed_disk(self):
+        from repro.raid.array import DiskFailure
+
+        plan, array, _data = degraded_setup(failed_disk=0)
+        array.fail_disk(1)
+        reader = ReconstructingReader(array, m=4)
+        with pytest.raises(DiskFailure, match="disk 1 has failed") as peeked:
+            reader.peek(0, 0)
+        with pytest.raises(DiskFailure) as read:
+            reader.read(0, 0)
+        assert str(peeked.value) == str(read.value)
+
+    def test_read_blocks_falls_back_per_block(self):
+        plan, array, _data = degraded_setup(failed_disk=1)
+        reader = ReconstructingReader(array, m=4)
+        disks, blocks = np.array([0, 1, 2]), np.array([4, 4, 6])
+        out = reader.read_blocks(disks, blocks)
+        expect = np.stack([array.raw(int(d), int(b)) for d, b in zip(disks, blocks)])
+        assert np.array_equal(out, expect)
+        # one read each for the healthy blocks, m-1 for the rebuilt one
+        assert array.reads.tolist() == [2, 0, 2, 1, 0]

@@ -1,6 +1,6 @@
 """Degraded offline conversion on the fused tier.
 
-With exactly one failed RAID-5 data disk and no fault plane attached,
+With exactly one failed RAID-5 data disk,
 ``execute_checkpointed(engine="compiled")`` runs each phase through the
 executor's fused kernel path, with every operand on the failed disk
 rebuilt from its RAID-5 row mates
@@ -8,8 +8,9 @@ rebuilt from its RAID-5 row mates
 that route to the per-block reconstructing oracle: same surviving bytes,
 same per-disk counters, a rebuildable RAID-6 result — and prove the
 route never reads the failed column, survives crash/resume, and shows
-up in the trace.  Every other degraded shape (an attached plane, two
-failed disks) must keep today's per-block path and its errors.
+up in the trace.  An attached plane still sees the per-block
+reconstructing reads; two failed disks keep raising the audited
+engine's error.
 """
 
 import numpy as np
@@ -103,6 +104,25 @@ class TestIdentity:
             errors[engine] = str(exc.value)
         assert errors["compiled"] == errors["audited"]
 
+    @pytest.mark.parametrize("approach", ["via-raid0", "via-raid4"])
+    def test_failed_fill_disk_raises_like_audited(self, approach):
+        """H-code's disk 4 is only ever filled (never counted-read); a
+        plane failing it must stop the compiled phase where the audited
+        engine stops, though no counted read touches it."""
+        from repro.faults.spec import DiskFailureAt
+
+        outcomes = []
+        for engine in ("compiled", "audited"):
+            plan = build_plan("hcode", approach, 5, groups=1)
+            array, data = prepare_source_array(plan, np.random.default_rng(0), block_size=8)
+            FaultPlane(FaultScenario(disk_failures=(DiskFailureAt(0, 4),))).attach(array)
+            with pytest.raises(DiskFailure) as exc:
+                execute_checkpointed(plan, array, data, engine=engine)
+            outcomes.append((str(exc.value), array.snapshot(), array.reads, array.writes))
+        (msg, *state), (ref_msg, *ref_state) = outcomes
+        assert msg == ref_msg == "disk 4 has failed"
+        assert all(np.array_equal(a, b) for a, b in zip(state, ref_state))
+
     def test_plane_attached_keeps_per_block_path(self, monkeypatch):
         plan, array, data = _source(5, [1])
         plane = FaultPlane(FaultScenario())
@@ -110,7 +130,7 @@ class TestIdentity:
         spy = _FusedSpy(monkeypatch)
         execute_checkpointed(plan, array, data, engine="compiled")
         plane.detach()
-        assert spy.calls == 0
+        assert spy.calls == len(compile_plan(plan).phases)
         assert plane.counters["reconstructed_blocks"] > 0
 
 
@@ -160,7 +180,7 @@ class TestResume:
 
 
 class TestTrace:
-    @pytest.mark.parametrize("attach_plane, path", [(False, "fused"), (True, "stripe")])
+    @pytest.mark.parametrize("attach_plane, path", [(False, "fused"), (True, "fused")])
     def test_phase_span_names_the_route(self, attach_plane, path):
         plan, array, data = _source(5, [1])
         plane = FaultPlane(FaultScenario())
@@ -220,13 +240,11 @@ class TestReroute:
     def test_straddling_term_is_refused(self, term):
         assert reroute_failed_disk(self._phase(term), disk=1, m=3, bpd=self.BPD) is None
 
-    def test_unrewritable_phase_falls_back_byte_identical(self, monkeypatch):
-        from repro.compiled import compiler
+    def test_unrewritable_phase_is_refused(self, monkeypatch):
+        from repro.compiled import UnsupportedPlanError
 
-        _plan, ref, _run = _convert(5, [2], "compiled")
-        monkeypatch.setattr(compiler, "reroute_failed_disk", lambda *a: None)
-        spy = _FusedSpy(monkeypatch)
-        _plan, array, _run = _convert(5, [2], "compiled")
-        assert spy.calls == 0
-        assert np.array_equal(_surviving(array), _surviving(ref))
-        assert np.array_equal(array.reads, ref.reads)
+        monkeypatch.setattr(executor_mod, "reroute_failed_disk", lambda *a: None)
+        plan, array, data = _source(5, [2])
+        with pytest.raises(UnsupportedPlanError, match="failed disk 2"):
+            execute_checkpointed(plan, array, data, engine="compiled")
+        assert array.total_reads == array.total_writes == 0  # refused up front

@@ -264,3 +264,39 @@ class TestJournalWatermarkEdges:
         resumed.run([])
         assert journal.count() == self.GROUPS * self.ROWS
         self.assert_complete(resumed, array, data)
+
+
+class TestPlaneScheduledFailure:
+    """A plane-scheduled data-disk failure can land on any plane op of
+    the conversion, a chain read included; the conversion survives each
+    one and the rebuilt array verifies."""
+
+    P, GROUPS = 5, 3
+
+    def _convert(self, scenario):
+        from repro.faults import FaultPlane
+
+        array, _data = fresh(np.random.default_rng(5), p=self.P, groups=self.GROUPS)
+        plane = FaultPlane(scenario)
+        plane.attach(array)
+        conv = OnlineCode56Conversion(array, self.P)
+        report = conv.run([])
+        plane.detach()
+        return array, conv, report, plane
+
+    def test_every_op(self):
+        from repro.codes.registry import get_code
+        from repro.faults import FaultScenario
+        from repro.faults.spec import DiskFailureAt
+        from repro.raid.raid6 import Raid6Array
+
+        *_, quiet = self._convert(FaultScenario())
+        ops = quiet.snapshot()["ops_seen"]
+        assert ops > 0
+        for op in range(ops):
+            scenario = FaultScenario(disk_failures=(DiskFailureAt(op=op, disk=1),))
+            array, conv, report, _plane = self._convert(scenario)
+            assert array.failed_disks == {1}, op
+            assert report.parities_generated == self.GROUPS * (self.P - 1), op
+            Raid6Array(array, get_code("code56", self.P)).rebuild_disks(1)
+            assert conv.verify(), op
