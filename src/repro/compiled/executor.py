@@ -23,8 +23,9 @@ accounted one of two ways:
 * **issued** (fault plane attached): the runner first performs the
   phase's counted reads (``read_disk`` / ``read_block``) through
   :meth:`BlockArray.read_blocks` or the reconstructing reader's
-  per-block fallback, so crash points, sector errors, transients, disk
-  failures and reconstruct counters fire on them.  The bytes are
+  ``read_blocks`` (faulted elements rebuilt from their row mates), so
+  crash points, sector errors, transients, disk failures and
+  reconstruct counters fire on them.  The bytes are
   discarded: the plane never alters them, and under the RAID-5 row
   invariant a reconstructed block equals its store view.
 
@@ -230,9 +231,9 @@ def run_phase(ph: PhaseProgram, array: BlockArray, kernel: XorKernel, reader=Non
     """Run one compiled phase on ``array`` (counters accumulate).
 
     ``reader`` is a :class:`~repro.faults.degraded.ReconstructingReader`
-    or None.  With one, counted reads that fault fall back to per-block
-    row reconstruction, and a phase with one failed RAID-5 data disk
-    runs rerouted around it.  Without one, every fault propagates.
+    or None.  With one, the counted reads' faulted elements are rebuilt
+    from their RAID-5 row mates, and a phase with one failed RAID-5 data
+    disk runs rerouted around it.  Without one, every fault propagates.
     """
     read = array.read_blocks if reader is None else reader.read_blocks
     with get_tracer().span(
@@ -263,9 +264,7 @@ def run_phase(ph: PhaseProgram, array: BlockArray, kernel: XorKernel, reader=Non
                 read(ph.read_disk, ph.read_block)
                 issued = True
             if reader is not None:
-                down = np.isin(ph.fill_disk, sorted(array.failed_disks))
-                for disk, block in zip(ph.fill_disk[down], ph.fill_block[down]):
-                    reader.peek(int(disk), int(block))
+                reader.peek_blocks(ph.fill_disk, ph.fill_block)
             fz = ph.fused
         audit: np.ndarray | slice = slice(None)
         if reader is not None and array.failed_disks:

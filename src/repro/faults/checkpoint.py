@@ -23,8 +23,8 @@ Degraded mode rides the same path.  Degraded conversion needs a
 zero-movement plan (direct Code 5-6); anything else is refused.  A
 compiled phase runs on the executor's one phase runner
 (:func:`repro.compiled.executor.run_phase`) with a
-:class:`~repro.faults.degraded.ReconstructingReader`: its counted reads
-fall back to per-block RAID-5 row reconstruction when they fault, and
+:class:`~repro.faults.degraded.ReconstructingReader`: the elements its
+counted reads cannot serve are rebuilt from their RAID-5 row mates, and
 the phase's parity work runs fused, rerouted around one failed data
 disk (:func:`~repro.compiled.compiler.reroute_failed_disk`).  Audited
 units read through the same reader.  Each compiled phase emits a

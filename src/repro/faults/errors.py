@@ -22,6 +22,9 @@ __all__ = [
 class FaultError(Exception):
     """Base class of every injected-fault exception."""
 
+    #: set by a bulk read: indices of every element the plane refused
+    faulted = None
+
 
 class ReadFaultError(FaultError):
     """A latent sector error (URE): the block is unreadable.

@@ -22,6 +22,11 @@ detached array pays nothing.  Given a
   *before* the op completes; a bulk op applies and counts only the
   elements before the crash, and an in-flight write can be torn.
 
+A bulk op charges its elements in order as the single-op hooks would
+(one op, the scheduled transient or else one rate draw, the sector
+error); a bulk read's fault carries ``faulted``, every element refused.
+A disk failure scheduled inside a bulk op fires at the op's start.
+
 Two counters index the schedules: ``op`` advances on every plane-visible
 I/O element, everywhere; ``crash_events_done`` advances only inside
 ``crashable()`` sections (the conversion thread) plus explicit
@@ -43,6 +48,7 @@ import numpy as np
 
 from repro.faults.errors import ConversionCrash, ReadFaultError, TransientIOError
 from repro.faults.spec import FaultScenario
+from repro.raid.array import DiskFailure
 from repro.util.retry import total_backoff
 
 __all__ = ["FaultPlane", "BulkCrash"]
@@ -51,19 +57,21 @@ __all__ = ["FaultPlane", "BulkCrash"]
 class BulkCrash:
     """Outcome of a bulk op interrupted by a crash.
 
-    ``prefix`` elements completed (count them, apply their payloads);
+    ``prefix`` elements completed (count them, apply their payloads),
+    bar a read's ``faulted`` ones;
     ``inflight_payload`` is the torn content of the interrupted element
     (apply uncounted) or ``None`` for a clean boundary; ``crash`` is the
     exception to raise once the prefix has been applied.
     """
 
-    __slots__ = ("prefix", "inflight_payload", "crash")
+    __slots__ = ("prefix", "inflight_payload", "crash", "faulted")
 
     def __init__(self, prefix: int, inflight_payload: np.ndarray | None,
-                 crash: ConversionCrash):
+                 crash: ConversionCrash, faulted: np.ndarray | tuple = ()):
         self.prefix = prefix
         self.inflight_payload = inflight_payload
         self.crash = crash
+        self.faulted = faulted
 
 
 _COUNTERS = (
@@ -133,9 +141,6 @@ class FaultPlane:
         self._bad.add(disk * self._bpd + block)
         self._bad_arr = None
 
-    def is_bad(self, disk: int, block: int) -> bool:
-        return (disk * self._bpd + block) in self._bad
-
     def bad_mask(self, disks, blocks) -> np.ndarray:
         """Boolean mask of elements currently carrying a sector error."""
         disks = np.asarray(disks, dtype=np.intp).ravel()
@@ -180,16 +185,17 @@ class FaultPlane:
         if not self._crashable_depth:
             return
         if self._crash_at is not None and self.crash_events_done == self._crash_at:
-            self._die(label or "barrier")
+            raise self._die(label or "barrier")
         self.crash_events_done += 1
 
     def _die(self, label: str) -> ConversionCrash:
+        """Count and trace the armed crash; the caller raises it."""
         self.counters["crashes"] += 1
         from repro.obs.tracer import get_tracer
 
         get_tracer().instant("fault.crash", cat="faults", track="faults",
                              event=self.crash_events_done, label=label)
-        raise ConversionCrash(self.crash_events_done, label)
+        return ConversionCrash(self.crash_events_done, label)
 
     def _crash_now(self) -> bool:
         return (
@@ -206,6 +212,11 @@ class FaultPlane:
         return off if 0 <= off < k else None
 
     # ------------------------------------------------------- shared helpers
+    def _advance(self, n: int) -> None:
+        self.op += n
+        if self._crashable_depth:
+            self.crash_events_done += n
+
     def _fire_disk_failures(self, span: int) -> None:
         """Fail disks scheduled at or before ops [op, op + span) (boundary model).
 
@@ -227,23 +238,35 @@ class FaultPlane:
                     get_tracer().instant("fault.disk-failure", cat="faults",
                                          track="faults", disk=d, op=self.op)
 
-    def _check_not_failed(self, disk: int) -> None:
-        if self._array is not None and disk in self._array.failed_disks:
-            from repro.raid.array import DiskFailure
+    def _admit_bulk(self, disks: np.ndarray) -> None:
+        """Fire the failures due within a bulk op; refuse failed disks."""
+        self._fire_disk_failures(disks.size)
+        if self._array is not None and self._array.failed_disks:
+            failed = sorted(self._array.failed_disks)
+            if np.isin(disks, failed).any():
+                raise DiskFailure(f"disk(s) {failed} have failed")
 
+    def _admit_one(self, disk: int) -> None:
+        """Fire the failures due at this op; refuse a failed disk."""
+        self._fire_disk_failures(1)
+        if self._array is not None and disk in self._array.failed_disks:
             raise DiskFailure(f"disk {disk} has failed")
 
-    def _transient_gate(self, disk: int, block: int, failures: int) -> None:
-        """Retry ``failures`` consecutive transient errors, or give up."""
+    def _transient_gate(self, failures: int) -> bool:
+        """Retry ``failures`` consecutive transient errors; True if exhausted."""
         self.counters["transients"] += 1
         policy = self.scenario.retry
         if failures > policy.max_retries:
             self.counters["retries"] += policy.max_retries
             self._accrue_backoff(policy.max_retries)
             self.counters["retries_exhausted"] += 1
-            raise TransientIOError(disk, block, policy.max_retries + 1)
+            return True
         self.counters["retries"] += failures
         self._accrue_backoff(failures)
+        return False
+
+    def _exhausted(self, disk: int, block: int) -> TransientIOError:
+        return TransientIOError(disk, block, self.scenario.retry.max_retries + 1)
 
     def _accrue_backoff(self, retries: int) -> None:
         policy = self.scenario.retry
@@ -251,12 +274,16 @@ class FaultPlane:
             retries, policy.backoff_base_ticks, policy.backoff_multiplier
         )
 
-    def _drawn_transient_failures(self) -> int:
-        """Rate-based transient draw for the current op (0 = healthy)."""
+    def _charge_op(self, disk: int, block: int) -> int:
+        """Charge one op and gate its scheduled transient, else one rate
+        draw; returns the op's index."""
+        op = self.op
+        self._advance(1)
         rate = self.scenario.transient_rate
-        if rate and self._rng.random() < rate:
-            return 1
-        return 0
+        failures = self._transient.pop(op, 0) or int(bool(rate) and self._rng.random() < rate)
+        if failures and self._transient_gate(failures):
+            raise self._exhausted(disk, block)
+        return op
 
     def _tear(self, payload: np.ndarray, old: np.ndarray, keep: float) -> np.ndarray:
         torn = np.asarray(old, dtype=np.uint8).copy()
@@ -268,17 +295,10 @@ class FaultPlane:
     # -------------------------------------------------------- single-op hooks
     def on_read(self, disk: int, block: int) -> None:
         """Consulted by ``BlockArray.read`` before counting; may raise."""
-        self._fire_disk_failures(1)
-        self._check_not_failed(disk)
+        self._admit_one(disk)
         if self._crash_now():
-            self._die(f"read d{disk}b{block}")
-        op = self.op
-        self.op += 1
-        if self._crashable_depth:
-            self.crash_events_done += 1
-        failures = self._transient.pop(op, 0) or self._drawn_transient_failures()
-        if failures:
-            self._transient_gate(disk, block, failures)
+            raise self._die(f"read d{disk}b{block}")
+        self._charge_op(disk, block)
         if (disk * self._bpd + block) in self._bad:
             self.counters["sector_errors_hit"] += 1
             raise ReadFaultError(disk, block)
@@ -294,23 +314,13 @@ class FaultPlane:
         is ``None`` for a clean-boundary crash).  May raise directly for
         disk failures and exhausted transients.
         """
-        self._fire_disk_failures(1)
-        self._check_not_failed(disk)
+        self._admit_one(disk)
         if self._crash_now():
-            try:
-                self._die(f"write d{disk}b{block}")
-            except ConversionCrash as crash:
-                if self._crash_tear is not None:
-                    return self._tear(payload, old, self._crash_tear), crash
-                return None, crash
-        op = self.op
-        self.op += 1
-        if self._crashable_depth:
-            self.crash_events_done += 1
-        failures = self._transient.pop(op, 0) or self._drawn_transient_failures()
-        if failures:
-            self._transient_gate(disk, block, failures)
-        keep = self._torn.pop(op, None)
+            crash = self._die(f"write d{disk}b{block}")
+            if self._crash_tear is not None:
+                return self._tear(payload, old, self._crash_tear), crash
+            return None, crash
+        keep = self._torn.pop(self._charge_op(disk, block), None)
         if keep is not None:
             payload = self._tear(payload, old, keep)
         key = disk * self._bpd + block
@@ -324,40 +334,30 @@ class FaultPlane:
     def on_bulk_read(self, disks: np.ndarray, blocks: np.ndarray) -> BulkCrash | None:
         """Consulted by ``read_blocks``; returns a crash plan or None.
 
-        Admission is all-or-nothing for faults: a sector error or an
-        exhausted transient anywhere in the batch raises before anything
-        is counted (callers that want partial progress pre-screen with
-        :meth:`bad_mask` or fall back to per-block I/O).
+        Each element is charged as :meth:`on_read` would charge it.  The
+        first faulted element's fault (sector error or exhausted
+        transient) is raised after the whole batch is charged, with
+        ``faulted`` listing every faulted element.
         """
         k = disks.size
-        self._fire_disk_failures(k)
-        if self._array is not None and self._array.failed_disks:
-            failed = sorted(self._array.failed_disks)
-            if np.isin(disks, failed).any():
-                from repro.raid.array import DiskFailure
-
-                raise DiskFailure(f"disk(s) {failed} have failed")
+        self._admit_bulk(disks)
         crash_off = self._crash_in(k)
-        if crash_off is not None:
-            self.op += crash_off
-            self.crash_events_done += crash_off
-            try:
-                self._die(f"bulk-read[{crash_off}/{k}]")
-            except ConversionCrash as crash:
-                return BulkCrash(crash_off, None, crash)
-        self._bulk_transients(disks, blocks, k)
+        n = k if crash_off is None else crash_off
+        faulted = exhausted = self._bulk_transients(n)
         if self._bad:
-            mask = self.bad_mask(disks, blocks)
-            if mask.any():
-                i = int(np.flatnonzero(mask)[0])
-                self.counters["sector_errors_hit"] += int(mask.sum())
-                self.op += k
-                if self._crashable_depth:
-                    self.crash_events_done += k
-                raise ReadFaultError(int(disks[i]), int(blocks[i]))
-        self.op += k
-        if self._crashable_depth:
-            self.crash_events_done += k
+            bad = self.bad_mask(disks[:n], blocks[:n])
+            bad[exhausted] = False
+            self.counters["sector_errors_hit"] += int(bad.sum())
+            faulted = np.union1d(exhausted, np.flatnonzero(bad))
+        self._advance(n)
+        if crash_off is not None:
+            return BulkCrash(crash_off, None, self._die(f"bulk-read[{crash_off}/{k}]"), faulted)
+        if faulted.size:
+            i = int(faulted[0])
+            d, b = int(disks[i]), int(blocks[i])
+            err = self._exhausted(d, b) if i in exhausted else ReadFaultError(d, b)
+            err.faulted = faulted
+            raise err
         return None
 
     def on_bulk_write(
@@ -374,59 +374,51 @@ class FaultPlane:
         for torn elements).
         """
         k = disks.size
-        self._fire_disk_failures(k)
-        if self._array is not None and self._array.failed_disks:
-            failed = sorted(self._array.failed_disks)
-            if np.isin(disks, failed).any():
-                from repro.raid.array import DiskFailure
-
-                raise DiskFailure(f"disk(s) {failed} have failed")
+        self._admit_bulk(disks)
         crash_off = self._crash_in(k)
+        n = k if crash_off is None else crash_off
         torn_ops = [
             (op - self.op, self._torn.pop(op))
             for op in sorted(self._torn)
-            if self.op <= op < self.op + (crash_off if crash_off is not None else k)
+            if self.op <= op < self.op + n
         ]
         if torn_ops:
             payloads = np.array(payloads, dtype=np.uint8, copy=True)
             for i, keep in torn_ops:
                 payloads[i] = self._tear(payloads[i], get_old(i), keep)
-        if crash_off is not None:
-            self.op += crash_off
-            self.crash_events_done += crash_off
-            try:
-                self._die(f"bulk-write[{crash_off}/{k}]")
-            except ConversionCrash as crash:
-                inflight = None
-                if self._crash_tear is not None:
-                    inflight = self._tear(
-                        payloads[crash_off], get_old(crash_off), self._crash_tear
-                    )
-                return payloads, BulkCrash(crash_off, inflight, crash)
-        self._bulk_transients(disks, blocks, k)
-        if self._bad:
-            cleared = self.bad_mask(disks, blocks)
-            n = int(cleared.sum())
-            if n:
-                keys = (disks * self._bpd + blocks)[cleared]
-                self._bad.difference_update(int(x) for x in keys)
-                self._bad_arr = None
-                self.counters["sector_errors_cleared"] += n
-        self.op += k
-        if self._crashable_depth:
-            self.crash_events_done += k
-        return payloads, None
+        exhausted = self._bulk_transients(n)
+        if exhausted.size:
+            i = int(exhausted[0])
+            raise self._exhausted(int(disks[i]), int(blocks[i]))
+        cleared = self.bad_mask(disks[:n], blocks[:n])
+        if cleared.any():
+            self._bad.difference_update((disks[:n] * self._bpd + blocks[:n])[cleared].tolist())
+            self._bad_arr = None
+            self.counters["sector_errors_cleared"] += int(cleared.sum())
+        self._advance(n)
+        if crash_off is None:
+            return payloads, None
+        crash = self._die(f"bulk-write[{crash_off}/{k}]")
+        inflight = None
+        if self._crash_tear is not None:
+            inflight = self._tear(payloads[crash_off], get_old(crash_off), self._crash_tear)
+        return payloads, BulkCrash(crash_off, inflight, crash)
 
-    def _bulk_transients(self, disks: np.ndarray, blocks: np.ndarray, k: int) -> None:
-        """Scheduled + rate-drawn transients across a bulk op's elements."""
-        for op in [o for o in self._transient if self.op <= o < self.op + k]:
-            i = op - self.op
-            self._transient_gate(int(disks[i]), int(blocks[i]), self._transient.pop(op))
+    def _bulk_transients(self, n: int) -> np.ndarray:
+        """Gate the next ``n`` ops' transients; the exhausted ones' indices.
+        An op takes its scheduled transient or else one rate draw, as in
+        the single-op hooks, so both consume the same draws."""
         rate = self.scenario.transient_rate
+        if not (rate or self._transient):
+            return np.zeros(0, dtype=np.intp)
+        failures = np.zeros(n, dtype=np.int64)
+        for op in [o for o in self._transient if self.op <= o < self.op + n]:
+            failures[op - self.op] = self._transient.pop(op)
         if rate:
-            hits = np.flatnonzero(self._rng.random(k) < rate)
-            for i in hits:
-                self._transient_gate(int(disks[i]), int(blocks[i]), 1)
+            free = np.flatnonzero(failures == 0)
+            failures[free[self._rng.random(free.size) < rate]] = 1
+        hit = np.flatnonzero(failures)
+        return hit[np.array([self._transient_gate(int(failures[i])) for i in hit], dtype=bool)]
 
     # ------------------------------------------------------------- reporting
     def snapshot(self) -> dict:

@@ -55,7 +55,7 @@ from repro.fleet.qos import CircuitBreaker, QosTarget, TokenBucket
 from repro.fleet.spares import ScrubCursor, SparePool
 from repro.raid.array import BlockArray
 from repro.raid.layouts import Raid5Layout, parity_disk
-from repro.raid.raid5 import Raid5Array
+from repro.raid.raid5 import Raid5Array, row_rebuild
 
 __all__ = ["VolumeSpec", "FleetVolume"]
 
@@ -412,11 +412,8 @@ class FleetVolume:
             if clock + per_stripe > deadline:
                 return clock, False
             stripe = self._dirty.pop() if self._dirty else self._stage_cursor
-            acc = np.zeros(self.spec.block_size, dtype=np.uint8)
-            for d in range(self.m):
-                if d != disk:
-                    np.bitwise_xor(acc, self.array.read(d, stripe), out=acc)
-            staged[stripe] = acc
+            staged[stripe] = row_rebuild(self.array, self.m, [disk], [stripe],
+                                         self.array.read_blocks)[0]
             if stripe == self._stage_cursor:
                 self._stage_cursor += 1
             self.bucket.spend(per_stripe, clock)
@@ -430,8 +427,7 @@ class FleetVolume:
                 return clock, False
             clock += delay
         self.array.replace_disk(disk)
-        for stripe in range(stripes):
-            self.array.write(disk, stripe, staged[stripe])
+        self.array.write_blocks(np.full(stripes, disk), np.arange(stripes), staged)
         self.bucket.spend(commit_cost, clock)
         self._rebuild_disk = None
         self._staged = None

@@ -6,7 +6,8 @@ cell ``j`` of key ``k`` sits at flat store index ``idx[k % rows, j] + k
 - k % rows``, where the **index table** ``idx`` is derived from
 :func:`repro.codes.code56.diagonal_chain_tables`.  A chain cell on a
 failed data disk is replaced by its ``m-1`` RAID-5 row mates (data plus
-old parity), the reconstruction the audited ``_read_block`` performs.
+old parity), the reconstruction :func:`repro.raid.raid5.row_rebuild`
+performs for the audited per-parity generator.
 A **credit table** holds each row's per-disk reads on the audited path.
 
 :class:`RunProgram` runs each tile of a run (a gathered cube sized to

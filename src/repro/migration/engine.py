@@ -64,7 +64,6 @@ def prepare_source_array(
     """
     array = BlockArray(plan.n, plan.blocks_per_disk, block_size)
     source = Raid5Array(array, plan.source_layout, n_disks=plan.m)
-    stripes = plan.data_blocks // (plan.m - 1)
     if data is None:
         data = rng.integers(
             0, 256, size=(plan.data_blocks, block_size), dtype=np.uint8
@@ -75,19 +74,7 @@ def prepare_source_array(
             raise ValueError(
                 f"data must be ({plan.data_blocks}, {block_size}), got {data.shape}"
             )
-    # format only the source region: format_with targets the whole disk, so
-    # place blocks manually through the layout mapping.
-    from repro.raid.layouts import locate_block, parity_disk
-    from repro.util.blocks import xor_reduce
-
-    for lba in range(plan.data_blocks):
-        stripe, disk = locate_block(plan.source_layout, lba, plan.m)
-        array.raw(disk, stripe)[...] = data[lba]
-    for stripe in range(stripes):
-        pd = parity_disk(plan.source_layout, stripe, plan.m)
-        views = [array.raw(d, stripe) for d in range(plan.m) if d != pd]
-        xor_reduce(views, out=array.raw(pd, stripe))
-    array.reset_counters()
+    source.format_with(data)  # the source stripes only
     return array, data
 
 

@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_cells
+from repro.codes.code56 import diagonal_chain_tables
 from repro.codes.registry import get_code
 from repro.faults.degraded import ReconstructingReader
 from repro.faults.events import DiskFailureEvent
@@ -243,9 +243,6 @@ class OnlineCode56Conversion:
         stripe, disk = locate_block(self.layout, lba, self.m)
         group, row = divmod(stripe, self.rows)
         return group, row, disk, stripe
-
-    def _diag_chain(self, parity_row: int) -> tuple[tuple[int, int], ...]:
-        return diagonal_chain_cells(self.p, parity_row)
 
     def _diag_parity_row_of(self, row: int, col: int) -> int:
         """Row of the diagonal parity covering square cell (row, col)."""
@@ -557,30 +554,19 @@ class OnlineCode56Conversion:
                 break
         return clock
 
-    def _read_block(self, disk: int, block: int, report: OnlineReport) -> tuple[np.ndarray, int]:
-        """Read a square-column block, reconstructing if its disk failed.
-
-        Degraded path (:class:`ReconstructingReader`): XOR the other
-        ``m-1`` blocks of the RAID-5 stripe (data plus old parity) —
-        costs ``m-1`` reads instead of 1.  The same recovery hides a
-        disk failing mid-read, latent sector errors and exhausted
-        transient faults surfaced by the fault plane; blocks on the
-        hot-added disk (``disk >= m``) have no covering row and re-raise.
-        """
-        value, ios = self._reader.read_cost(disk, block)
-        report.degraded_reads += ios - 1
-        return value, ios
-
     def _generate_parity(self, group: int, parity_row: int, report: OnlineReport) -> int:
-        chain = self._diag_chain(parity_row)
-        acc = np.zeros(self.array.block_size, dtype=np.uint8)
-        ios = 0
-        for r, c in chain:
-            block = group * self.rows + r
-            value, cost = self._read_block(c, block, report)
-            np.bitwise_xor(acc, value, out=acc)
-            ios += cost
-        self.array.write(self.m, group * self.rows + parity_row, acc)
+        """Read the chain in one counted bulk read and write its parity.
+
+        A chain block on a failed disk, or one the fault plane refuses,
+        is rebuilt from its RAID-5 stripe (:class:`ReconstructingReader`):
+        ``m-1`` reads instead of 1.
+        """
+        rows, cols, _per_col = diagonal_chain_tables(self.p)
+        values, ios = self._reader.read_blocks_cost(
+            cols[parity_row], rows[parity_row] + group * self.rows
+        )
+        report.degraded_reads += ios - values.shape[0]
+        self.array.write(self.m, group * self.rows + parity_row, np.bitwise_xor.reduce(values))
         return ios + 1
 
     # -------------------------------------------------- application thread
@@ -615,7 +601,8 @@ class OnlineCode56Conversion:
         group, row, disk, stripe = self.locate(req.lba)
         failed = self.array.failed_disks
         if not req.is_write:
-            _value, ios = self._read_block(disk, stripe, report)
+            _value, ios = self._reader.read_cost(disk, stripe)
+            report.degraded_reads += ios - 1
             report.app_ticks += ios
             return clock + ios
         if req.payload is None:
@@ -624,7 +611,8 @@ class OnlineCode56Conversion:
         report.interruptions += 1
         ios = 0
         payload = np.asarray(req.payload, dtype=np.uint8)
-        old, cost = self._read_block(disk, stripe, report)
+        old, cost = self._reader.read_cost(disk, stripe)
+        report.degraded_reads += cost - 1
         ios += cost
         delta = np.bitwise_xor(old, payload)
         if disk not in failed:

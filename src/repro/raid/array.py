@@ -242,11 +242,10 @@ class BlockArray:
         if self._fault_plane is not None:
             res = self._fault_plane.on_bulk_read(disks, blocks)
             if res is not None:  # crash mid-bulk: count the completed prefix
-                self.reads += np.bincount(disks[: res.prefix], minlength=self.n_disks)
+                done = np.delete(np.arange(res.prefix), res.faulted)
+                self.reads += np.bincount(disks[done], minlength=self.n_disks)
                 if self._sanitizer is not None:
-                    self._sanitizer.record_reads(
-                        disks[: res.prefix], blocks[: res.prefix]
-                    )
+                    self._sanitizer.record_reads(disks[done], blocks[done])
                 raise res.crash
         self.reads += np.bincount(disks, minlength=self.n_disks)
         if self._sanitizer is not None:

@@ -2,18 +2,47 @@
 
 One stripe occupies one block per disk; stripe ``s`` lives at block
 offset ``s`` on every disk.  This matches the paper's element==block
-granularity (Table II) — a "stripe" of a RAID-5 is a row.
+granularity (Table II) — a "stripe" of a RAID-5 is a row, and
+:func:`row_rebuild` is the one routine that rebuilds a block from it.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from repro.raid.array import BlockArray
+from repro.raid.array import BlockArray, DiskFailure
 from repro.raid.layouts import Raid5Layout, cell_role, data_disk, locate_block, parity_disk
 from repro.util.blocks import xor_reduce
 
-__all__ = ["Raid5Array"]
+__all__ = ["Raid5Array", "row_rebuild"]
+
+
+def row_rebuild(array: BlockArray, width: int, disks, blocks,
+                fetch: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """XOR of the other ``width-1`` blocks of each element's RAID-5 row.
+
+    The row mates (element order, disks ascending) come from one
+    ``fetch`` — ``array.read_blocks`` (counted, plane-hooked) or
+    ``array.gather_raw`` (uncounted) — and one reduction folds them.  A
+    mate on a failed disk raises :class:`DiskFailure` after the mates
+    before it were fetched, as reading them one by one would.
+    """
+    disks = np.asarray(disks, dtype=np.intp).ravel()
+    blocks = np.asarray(blocks, dtype=np.intp).ravel()
+    cols = np.arange(width - 1)
+    # mate j of element i: column j, shifted past the lost disk
+    mates = (cols + (cols >= disks[:, None])).ravel()
+    rows = np.repeat(blocks, width - 1)
+    down = sorted(d for d in array.failed_disks if d < width)
+    if down and (len(down) > 1 or (disks != down[0]).any()):
+        hit = np.flatnonzero(np.isin(mates, down))
+        if hit.size:  # a failed mate: the mates before it are read, then it fails
+            fetch(mates[: hit[0]], rows[: hit[0]])
+            raise DiskFailure(f"disk {int(mates[hit[0]])} has failed")
+    fetched = fetch(mates, rows).reshape(disks.size, width - 1, array.block_size)
+    return np.bitwise_xor.reduce(fetched, axis=1)
 
 
 class Raid5Array:
@@ -66,20 +95,23 @@ class Raid5Array:
 
     # ------------------------------------------------------------- bulk fill
     def format_with(self, data: np.ndarray) -> None:
-        """Write logical data blocks 0..len-1 and compute all parities.
+        """Write logical data blocks 0..len-1 and the parities of the
+        stripes they fill (whole stripes, at most :attr:`capacity_blocks`).
 
         Uncounted (models the array's pre-existing state, not migration
         traffic).
         """
         data = np.asarray(data, dtype=np.uint8)
-        if data.shape != (self.capacity_blocks, self.array.block_size):
+        n_stripes, partial = divmod(len(data), self.n - 1)
+        if partial or n_stripes > self.stripes or data.shape[1:] != (self.array.block_size,):
             raise ValueError(
-                f"need ({self.capacity_blocks}, {self.array.block_size}) blocks"
+                f"need whole stripes of ({self.n - 1}, {self.array.block_size}) blocks, "
+                f"at most {self.capacity_blocks}"
             )
-        for lba in range(self.capacity_blocks):
+        for lba in range(len(data)):
             stripe, disk = self.locate(lba)
             self.array.raw(disk, stripe)[...] = data[lba]
-        for stripe in range(self.stripes):
+        for stripe in range(n_stripes):
             pd = self.parity_disk(stripe)
             views = [
                 self.array.raw(d, stripe) for d in range(self.n) if d != pd
@@ -91,14 +123,8 @@ class Raid5Array:
         """Logical read; reconstructs through parity when the disk failed."""
         stripe, disk = self.locate(lba)
         if disk in self.array.failed_disks:
-            return self._degraded_read(stripe, disk)
+            return row_rebuild(self.array, self.n, [disk], [stripe], self.array.read_blocks)[0]
         return self.array.read(disk, stripe)
-
-    def _degraded_read(self, stripe: int, lost_disk: int) -> np.ndarray:
-        chunks = [
-            self.array.read(d, stripe) for d in range(self.n) if d != lost_disk
-        ]
-        return xor_reduce(chunks)
 
     def write(self, lba: int, payload: np.ndarray) -> int:
         """Logical read-modify-write; returns I/Os performed.
@@ -137,22 +163,19 @@ class Raid5Array:
 
     # ---------------------------------------------------------------- repair
     def rebuild_disk(self, disk: int) -> None:
-        """Reconstruct a replaced disk stripe-by-stripe."""
+        """Reconstruct a replaced disk: one row-mate read, one bulk write."""
         self.array.replace_disk(disk)
-        for stripe in range(self.stripes):
-            chunks = [
-                self.array.read(d, stripe) for d in range(self.n) if d != disk
-            ]
-            self.array.write(disk, stripe, xor_reduce(chunks))
+        lost = np.full(self.stripes, disk)
+        stripes = np.arange(self.stripes)
+        image = row_rebuild(self.array, self.n, lost, stripes, self.array.read_blocks)
+        self.array.write_blocks(lost, stripes, image)
 
     # ----------------------------------------------------------------- audit
     def verify(self) -> bool:
         """Uncounted parity scrub over every stripe."""
-        for stripe in range(self.stripes):
-            views = [self.array.raw(d, stripe) for d in range(self.n)]
-            if xor_reduce(views).any():
-                return False
-        return True
+        from repro.raid.scrub import scrub_raid5
+
+        return scrub_raid5(self).clean
 
     def parity_map(self) -> list[tuple[int, int]]:
         """(stripe, parity disk) for every stripe — used by the planner."""

@@ -94,6 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
+from repro.raid.raid5 import row_rebuild
 from repro.staticcheck.report import Finding
 
 __all__ = [
@@ -394,11 +395,12 @@ class _Explorer:
         """
         disk = self.scenario.fail_disk
         self.array.replace_disk(disk)
-        stripes = self.scenario.groups * self.rows
-        for stripe in range(stripes):
-            self.array.restore_blocks(
-                [disk], [stripe], self._reconstruct(disk, stripe)[None, :]
-            )
+        lost = np.full(self.scenario.groups * self.rows, disk)
+        stripes = np.arange(lost.size)
+        self.array.restore_blocks(
+            lost, stripes,
+            row_rebuild(self.array, self.m, lost, stripes, self.array.gather_raw),
+        )
         self.failed = False
         self.conv = self.converter_cls(self.array, self.p, journal=self.journal)
 
@@ -421,18 +423,10 @@ class _Explorer:
                 return self.payloads[i]
         return self.data[lba]
 
-    def _reconstruct(self, disk: int, block: int) -> npt.NDArray[np.uint8]:
-        """Row-XOR reconstruction of one cell of a failed data column."""
-        acc = np.zeros(self.scenario.block_size, dtype=np.uint8)
-        for d in range(self.m):
-            if d != disk:
-                np.bitwise_xor(acc, self.array.raw(d, block), out=acc)
-        return acc
-
     def _cell(self, disk: int, block: int) -> npt.NDArray[np.uint8]:
-        """A cell's logical bytes: raw, or reconstructed while failed."""
+        """A cell's logical bytes: raw, or row-XOR rebuilt while failed."""
         if self.failed and disk == self.scenario.fail_disk:
-            return self._reconstruct(disk, block)
+            return row_rebuild(self.array, self.m, [disk], [block], self.array.gather_raw)[0]
         return self.array.raw(disk, block)
 
     def _chain_xor(self, group: int, prow: int) -> npt.NDArray[np.uint8]:
@@ -485,21 +479,17 @@ class _Explorer:
         # Skipped while a column is erased: with one member missing the
         # row equation is the reconstruction definition itself (vacuous);
         # SC-C001 above carries the degraded-mode obligation instead.
-        stripes = self.scenario.groups * self.rows
         if not self.failed:
-            for stripe in range(stripes):
-                pd = parity_disk(self.layout, stripe, self.m)
-                acc = np.zeros(self.scenario.block_size, dtype=np.uint8)
-                for d in range(self.m):
-                    if d != pd:
-                        np.bitwise_xor(acc, self.array.raw(d, stripe), out=acc)
-                if not np.array_equal(self.array.raw(pd, stripe), acc):
-                    self._flag(
-                        "SC-C004",
-                        f"horizontal parity of stripe {stripe} inconsistent "
-                        f"after [{trail}]",
-                    )
-                    break
+            rows = np.arange(self.scenario.groups * self.rows)
+            pds = np.array([parity_disk(self.layout, int(s), self.m) for s in rows])
+            rebuilt = row_rebuild(self.array, self.m, pds, rows, self.array.gather_raw)
+            bad = (rebuilt != self.array.gather_raw(pds, rows)).any(axis=1)
+            if bad.any():
+                self._flag(
+                    "SC-C004",
+                    f"horizontal parity of stripe {int(np.argmax(bad))} "
+                    f"inconsistent after [{trail}]",
+                )
         _cursor, generated, run = self.conv.thread_state()
         # an in-flight run's bytes have landed; they must already be
         # chain-consistent (this is what proves the overlap check patches

@@ -65,9 +65,10 @@ PRIVATE_BUFFER_ATTRS = frozenset({"_store", "_failed"})
 _PRIVATE_ALLOWED = frozenset({"raid/array.py"})
 
 #: modules whose docstrings promise batched I/O — per-block loops banned
-HOT_PATH_MODULES = frozenset(
-    {"compiled/executor.py", "util/blocks.py", "migration/batch.py"}
-)
+HOT_PATH_MODULES = frozenset({
+    "compiled/executor.py", "util/blocks.py", "migration/batch.py",
+    "faults/degraded.py", "fleet/volume.py",
+})
 _PER_BLOCK_CALLS = frozenset({"read", "write", "write_zero"})
 
 _DEPRECATED_MODULE = "repro.migration.fast"

@@ -159,7 +159,7 @@ class TestReconstructingReader:
             reader.read(0, 0)
         assert str(peeked.value) == str(read.value)
 
-    def test_read_blocks_falls_back_per_block(self):
+    def test_read_blocks_rebuilds_faulted_elements(self):
         plan, array, _data = degraded_setup(failed_disk=1)
         reader = ReconstructingReader(array, m=4)
         disks, blocks = np.array([0, 1, 2]), np.array([4, 4, 6])

@@ -196,6 +196,84 @@ class TestTransients:
         assert run(7) == run(7)
 
 
+class TestBulkMatchesPerBlock:
+    """A bulk op and the same elements issued one by one see the same
+    faults: one op and one transient (scheduled, else a rate draw) per
+    element, in element order."""
+
+    DISKS = np.array([0, 1, 2, 3, 4, 0, 1, 2])
+    BLOCKS = np.array([0, 1, 2, 3, 4, 5, 6, 7])
+
+    def _plane(self, seed):
+        array = fresh_array(np.random.default_rng(0))
+        plane = attach(
+            array, seed=seed, transient_rate=0.5,
+            transients=(TransientFault(op=2), TransientFault(op=11)),
+        )
+        return array, plane
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_reads(self, seed):
+        bulk_array, bulk = self._plane(seed)
+        one_array, one = self._plane(seed)
+        for _ in range(2):
+            got = bulk_array.read_blocks(self.DISKS, self.BLOCKS)
+            want = [one_array.read(int(d), int(b)) for d, b in zip(self.DISKS, self.BLOCKS)]
+            assert np.array_equal(got, np.stack(want))
+        assert bulk.snapshot() == one.snapshot()
+        assert bulk_array.reads.tolist() == one_array.reads.tolist()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_writes(self, seed):
+        bulk_array, bulk = self._plane(seed)
+        one_array, one = self._plane(seed)
+        payloads = np.random.default_rng(seed).integers(0, 256, (8, 8), dtype=np.uint8)
+        for _ in range(2):
+            bulk_array.write_blocks(self.DISKS, self.BLOCKS, payloads)
+            for i in range(8):
+                one_array.write(int(self.DISKS[i]), int(self.BLOCKS[i]), payloads[i])
+        assert bulk.snapshot() == one.snapshot()
+        assert np.array_equal(bulk_array.snapshot(), one_array.snapshot())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_crash_inside_a_bulk_op(self, seed):
+        payloads = np.random.default_rng(seed).integers(0, 256, (8, 8), dtype=np.uint8)
+        seen = []
+        for bulk in (True, False):
+            array, plane = self._plane(seed)
+            plane.add_sector_error(2, 2)
+            plane.arm_crash(9, tear=0.5)  # the write of element 4
+            with plane.crashable(), pytest.raises(ConversionCrash):
+                if bulk:
+                    array.read_blocks(self.DISKS[3:], self.BLOCKS[3:])
+                    array.write_blocks(self.DISKS, self.BLOCKS, payloads)
+                else:
+                    for i in range(3, 8):
+                        array.read(int(self.DISKS[i]), int(self.BLOCKS[i]))
+                    for i in range(8):
+                        array.write(int(self.DISKS[i]), int(self.BLOCKS[i]), payloads[i])
+            assert plane.counters["sector_errors_cleared"] == 1
+            seen.append((plane.snapshot(), array.reads.tolist(), array.writes.tolist(),
+                         array.snapshot().tobytes()))
+        assert seen[0] == seen[1]
+
+    def test_faulted_read_charges_every_element(self, rng):
+        array = fresh_array(rng)
+        plane = attach(
+            array,
+            sector_errors=(SectorError(2, 1), SectorError(3, 1)),
+            transients=(TransientFault(op=1, failures=4),),
+        )
+        with pytest.raises(TransientIOError) as exc:
+            array.read_blocks(np.array([0, 1, 2, 3]), np.array([1, 1, 1, 1]))
+        # the exhausted transient (element 1) and both sector errors
+        assert exc.value.faulted.tolist() == [1, 2, 3]
+        assert plane.op == 4
+        assert plane.counters["sector_errors_hit"] == 2
+        assert plane.counters["retries_exhausted"] == 1
+        assert array.total_reads == 0  # a refused bulk counts nothing
+
+
 class TestTornWrites:
     def test_prefix_persisted_suffix_stale(self, rng):
         array = fresh_array(rng)

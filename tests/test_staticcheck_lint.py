@@ -105,6 +105,8 @@ class TestDeprecatedImportRule:
         from repro.staticcheck.lint import HOT_PATH_MODULES
 
         assert "migration/batch.py" in HOT_PATH_MODULES
+        assert "faults/degraded.py" in HOT_PATH_MODULES
+        assert "fleet/volume.py" in HOT_PATH_MODULES
         assert "migration/fast.py" not in HOT_PATH_MODULES
         findings = lint(
             """
